@@ -37,7 +37,12 @@
 //     weight-materialized CSR view (internal/wcsr) that computes and
 //     validates each arc weight once and pre-partitions every adjacency
 //     into a light prefix and heavy suffix, so each relaxation phase
-//     scans only its own arcs. Snapshot.SSSPWith with a warm
+//     scans only its own arcs. In the query service every published
+//     snapshot carries one such view (snapmgr.View.Weighted), built on
+//     the snapshot's first SSSP miss and shared by every pooled query
+//     slot; a request with its own delta re-splits the shared spans
+//     into a slot-local light/heavy boundary (sssp.RunView), so no
+//     request rebuilds the view. Snapshot.SSSPWith with a warm
 //     SSSPScratch reuses the view, the cyclic bucket ring, the dedup
 //     bitmaps, and the per-worker outputs — steady-state repeated SSSP
 //     allocates nothing and runs ~2.4x faster than the previous
@@ -136,9 +141,11 @@
 //     The fleet plugs into the same qserve executor interface, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
 //     surface. Weight-sorted adjacency in wcsr (arcs sorted by
-//     (weight, neighbor) at Rebuild) makes a delta change a
+//     (weight, neighbor) at Rebuild, with a linear-time LSD radix sort
+//     per span that skips the key bytes all arcs share and the neighbor
+//     bytes of spans already in neighbor order) makes a delta change a
 //     binary-search re-split (Retarget, O(n log maxdeg)) instead of a
-//     rebuild, fixing mixed-delta scratch thrash in qserve.
+//     rebuild.
 //   - Memory-scale snapshot formats as first-class pipeline citizens
 //     (Graph.ManagerWithLayout): the manager can publish plain CSR,
 //     degree-/BFS-/RCM-reordered CSR (internal/reorder), or

@@ -117,6 +117,46 @@ func forDynamic(workers, n, chunk int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
+// ForDynamicWorker is ForDynamic for bodies that need per-worker
+// scratch: each chunk also receives the id, in [0, workers), of the
+// worker running it, and no two concurrent chunks share an id (workers
+// <= 0 means GOMAXPROCS, so ids stay below MaxWorkers()).
+func ForDynamicWorker(workers, n, chunk int, body func(id, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if chunk <= 0 {
+		chunk = 1
+	}
+	workers = clampWorkers(workers, (n+chunk-1)/chunk)
+	if workers == 1 {
+		body(0, 0, n)
+		return
+	}
+	forDynamicWorker(workers, n, chunk, body)
+}
+
+// forDynamicWorker is ForDynamicWorker's fan-out, kept out of line for
+// the same escape-analysis reason as forDynamic.
+func forDynamicWorker(workers, n, chunk int, body func(id, lo, hi int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(id int) {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				body(id, lo, min(lo+chunk, n))
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // Workers launches exactly `workers` goroutines, passing each its id in
 // [0, workers), and waits for all of them. It is the SPMD region
 // primitive: the body typically cooperates through shared arrays indexed

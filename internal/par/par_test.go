@@ -55,6 +55,32 @@ func TestForDynamicCoversRange(t *testing.T) {
 	}
 }
 
+func TestForDynamicWorkerIDs(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		n := 1000
+		hits := make([]int32, n)
+		busy := make([]atomic.Int32, workers)
+		ForDynamicWorker(workers, n, 7, func(id, lo, hi int) {
+			if id < 0 || id >= workers {
+				t.Errorf("worker id %d outside [0, %d)", id, workers)
+				return
+			}
+			if busy[id].Add(1) != 1 {
+				t.Errorf("worker id %d shared by concurrent chunks", id)
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+			busy[id].Add(-1)
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+			}
+		}
+	}
+}
+
 func TestForDynamicZeroAndNegative(t *testing.T) {
 	called := false
 	ForDynamic(4, 0, 16, func(lo, hi int) { called = true })

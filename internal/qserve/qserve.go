@@ -30,12 +30,14 @@
 // overload instead of an unbounded goroutine pile-up.
 //
 // Scratch reuse across epochs is safe by construction: a
-// traversal.Scratch re-validates itself by graph shape (n, m) and an
-// sssp.Scratch keys its cached weighted view by graph pointer, so a
-// scratch that last served an older snapshot transparently rebuilds
-// exactly the state the new snapshot needs. The free list tags each
-// scratch with the epoch it last served so that revalidation has one
-// hook point (and so tests can observe reuse).
+// traversal.Scratch re-validates itself by graph shape (n, m), and an
+// sssp.Scratch holds only per-run buffers, because SSSP reads the
+// weighted view the published snapshot itself carries
+// (snapmgr.View.Weighted): built once, on the snapshot's first SSSP
+// miss, shared by every pooled slot, and reclaimed with the snapshot.
+// The free list tags each scratch with the epoch it last served so
+// that revalidation has one hook point (and so tests can observe
+// reuse).
 package qserve
 
 import (
@@ -160,10 +162,10 @@ type scratchSet struct {
 	prLevelEnd func(int32, int) bool
 
 	// epoch is the snapshot version this set last served. Kernel
-	// scratches self-revalidate (traversal by (n, m), sssp by graph
-	// pointer), so nothing is rebuilt eagerly on an epoch change; the
-	// tag exists so revalidate has a place to hang any future cache
-	// that is keyed by epoch rather than by shape.
+	// scratches self-revalidate (traversal by (n, m); sssp keeps no
+	// snapshot state), so nothing is rebuilt eagerly on an epoch
+	// change; the tag exists so revalidate has a place to hang any
+	// future cache that is keyed by epoch rather than by shape.
 	epoch uint64
 }
 
@@ -443,12 +445,12 @@ type SSSPReply struct {
 // SSSP runs delta-stepping shortest paths from src with the arc time
 // labels as weights (delta <= 0 picks the heuristic bucket width).
 //
-// The pooled scratch caches its weighted graph view keyed by (graph,
-// delta): requests that agree on delta (in particular the <= 0
-// default) reuse it across the epoch, while a delta differing from
-// the scratch's cached one pays a full O(m) view rebuild inside the
-// request. Serving workloads should therefore omit delta (or agree on
-// one); per-request delta tuning is supported but priced accordingly.
+// Every pooled slot reads the snapshot's one shared weighted view
+// (snapmgr.View.Weighted), which the first SSSP miss against the
+// snapshot builds in O(m); later misses pay only the run. A request
+// whose delta differs from the view's heuristic one re-splits the
+// shared weight-sorted spans into a slot-local light/heavy boundary —
+// one binary search per vertex, no rebuild.
 // Under LayoutCompressed the query runs the streaming Bellman-Ford
 // kernel (sssp.RunStream) instead of delta-stepping — distances are
 // identical; delta is ignored there (the stream kernel has no buckets).
@@ -473,7 +475,8 @@ func (e *Executor) ssspValue(v *snapmgr.View, epoch uint64, src uint32, delta in
 		}
 		dist = sssp.RunStream(v.C, edge.ID(translate(v, src)), e.cfg.Workers, sssp.LabelWeights, s.sspStream)
 	} else {
-		dist = sssp.Run(v.G, edge.ID(translate(v, src)), sssp.Options{Workers: e.cfg.Workers, Delta: delta, Scratch: s.ssp})
+		dist = sssp.RunView(v.Weighted(e.cfg.Workers), edge.ID(translate(v, src)),
+			sssp.Options{Workers: e.cfg.Workers, Delta: delta, Scratch: s.ssp})
 	}
 	var val qcache.Value
 	for _, d := range dist {
@@ -621,22 +624,16 @@ type StatsReply struct {
 
 // Stats reports the current snapshot's shape, layout, and footprint
 // plus the manager's epoch and staleness. It bypasses admission: stats
-// are cheap (at most one O(n) degree scan) and must stay observable
-// under query overload.
+// are cheap (the O(n) degree scan runs once per snapshot, not per call)
+// and must stay observable under query overload.
 func (e *Executor) Stats() StatsReply {
 	epoch := e.mgr.Epoch()
 	v := e.mgr.View()
-	maxDeg := int64(0)
-	if v.C != nil {
-		maxDeg = v.C.MaxDegree()
-	} else {
-		maxDeg = v.G.MaxDegree()
-	}
 	ctr := e.cache.Counters()
 	return StatsReply{
 		Vertices:       v.NumVertices(),
 		Arcs:           v.NumEdges(),
-		MaxDegree:      maxDeg,
+		MaxDegree:      v.MaxDegree(),
 		Epoch:          epoch,
 		Staleness:      e.mgr.Staleness(),
 		SizeBytes:      v.SizeBytes(),

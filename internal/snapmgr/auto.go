@@ -132,8 +132,8 @@ func (m *Manager) Stop() {
 	}
 }
 
-// autoLoop is the background refresher: poll the triggers, refresh when
-// one fires, account the trigger. Refresh itself records the latency
+// autoLoop is the background refresher: poll the triggers and refresh
+// when one fires; the refresh records its trigger with the latency
 // metrics shared with manual refreshes.
 func (m *Manager) autoLoop(p Policy, stop, done chan struct{}) {
 	defer close(done)
@@ -154,15 +154,11 @@ func (m *Manager) autoLoop(p Policy, stop, done chan struct{}) {
 		if !byDirty && !byAge {
 			continue
 		}
-		m.Refresh(p.Workers)
-		m.metMu.Lock()
-		m.met.AutoRefreshes++
+		trig := ageRefresh
 		if byDirty {
-			m.met.DirtyTriggered++
-		} else {
-			m.met.AgeTriggered++
+			trig = dirtyRefresh
 		}
-		m.metMu.Unlock()
+		m.refresh(p.Workers, trig)
 	}
 }
 

@@ -1,11 +1,15 @@
 package snapmgr
 
 import (
+	"sync"
+
 	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/reorder"
+	"snapdyn/internal/sssp"
+	"snapdyn/internal/wcsr"
 )
 
 // Layout selects the storage format a manager publishes its snapshots
@@ -63,13 +67,48 @@ const permStaleFrac = 0.30
 // layoutID = Perm[origID], origID = Inv[layoutID]; both are nil for
 // plain and compressed views (identity). Views are immutable and, like
 // the csr snapshots they wrap, reclaimed by GC once the last reader
-// drops them.
+// drops them. Values derived from the snapshot and worth sharing across
+// readers (the SSSP weighted view, the max degree) are computed at most
+// once per View, on first use, and reclaimed with it.
 type View struct {
 	G      *csr.Graph
 	C      *compress.Graph
 	Perm   reorder.Permutation
 	Inv    reorder.Permutation
 	Layout Layout
+
+	weightedOnce sync.Once
+	weighted     *wcsr.Graph
+	maxDegOnce   sync.Once
+	maxDeg       int64
+}
+
+// Weighted returns the snapshot's weight-materialized SSSP view: arc
+// time labels as weights (sssp.LabelWeights), light/heavy split at the
+// heuristic delta. The first caller builds it with the given
+// parallelism; concurrent first callers wait for that one build, and
+// every later caller shares it, so a snapshot pays one O(m) build
+// however many query slots run SSSP against it. Callers only read it.
+// Nil for compressed views, whose SSSP streams the gap-coded arcs.
+func (v *View) Weighted(workers int) *wcsr.Graph {
+	if v.G == nil {
+		return nil
+	}
+	v.weightedOnce.Do(func() { v.weighted = wcsr.Build(workers, v.G, sssp.LabelWeights, 0) })
+	return v.weighted
+}
+
+// MaxDegree returns the snapshot's largest out-degree, scanned once on
+// first use (relabeling does not change it, so every layout agrees).
+func (v *View) MaxDegree() int64 {
+	v.maxDegOnce.Do(func() {
+		if v.C != nil {
+			v.maxDeg = v.C.MaxDegree()
+		} else {
+			v.maxDeg = v.G.MaxDegree()
+		}
+	})
+	return v.maxDeg
 }
 
 // NumVertices returns the vertex count of the viewed snapshot.

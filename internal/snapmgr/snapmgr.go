@@ -96,7 +96,18 @@ func (m *Manager) Staleness() int { return m.store.DirtyCount() }
 // threshold). When nothing changed, the previous snapshot is
 // republished unchanged. Concurrent Refresh calls serialize; the epoch
 // advances once per call.
-func (m *Manager) Refresh(workers int) *csr.Graph {
+func (m *Manager) Refresh(workers int) *csr.Graph { return m.refresh(workers, manualRefresh) }
+
+// refreshTrigger names what started a refresh, for the Metrics split.
+type refreshTrigger uint8
+
+const (
+	manualRefresh refreshTrigger = iota
+	dirtyRefresh
+	ageRefresh
+)
+
+func (m *Manager) refresh(workers int, trig refreshTrigger) *csr.Graph {
 	m.gate.Lock()
 	start := time.Now()
 	m.dirty = m.store.Flush(m.dirty[:0])
@@ -105,16 +116,23 @@ func (m *Manager) Refresh(workers int) *csr.Graph {
 	m.view.Store(v)
 	m.cur.Store(v.G)
 	g := v.G
-	m.epoch.Add(1)
-	m.lastPub.Store(time.Now().UnixNano())
-	m.broadcast()
 
-	// Record metrics before releasing the gate: refreshes serialize on
-	// it, so Last* always describes the most recently published epoch
-	// (a delayed post-unlock update could land after a later refresh's).
+	// Record metrics before the epoch advances (and before releasing
+	// the gate): a reader that observes the new epoch then sees its
+	// refresh counted, trigger included, and since refreshes serialize
+	// on the gate, Last* always describes the most recently published
+	// epoch.
 	lat := time.Since(start)
 	m.metMu.Lock()
 	m.met.Refreshes++
+	switch trig {
+	case dirtyRefresh:
+		m.met.AutoRefreshes++
+		m.met.DirtyTriggered++
+	case ageRefresh:
+		m.met.AutoRefreshes++
+		m.met.AgeTriggered++
+	}
 	m.met.LastDirty = consumed
 	m.met.LastLatency = lat
 	m.met.TotalLatency += lat
@@ -122,6 +140,10 @@ func (m *Manager) Refresh(workers int) *csr.Graph {
 		m.met.MaxLatency = lat
 	}
 	m.metMu.Unlock()
+
+	m.epoch.Add(1)
+	m.lastPub.Store(time.Now().UnixNano())
+	m.broadcast()
 	m.gate.Unlock()
 	return g
 }

@@ -47,6 +47,11 @@ type Scratch struct {
 	prepWF    uintptr
 	prepOK    bool
 
+	// split is RunView's private light/heavy split for a non-default
+	// delta: it borrows a shared view's arc arrays for one run and owns
+	// only its LightEnd.
+	split wcsr.Graph
+
 	inBatch   *frontier.Bitmap // dedups one batch; cleared per batch member
 	inSettled *frontier.Bitmap // dedups a band's settled set; cleared per band
 	out       *frontier.Buckets
@@ -68,6 +73,31 @@ func NewScratch() *Scratch { return &Scratch{} }
 // closures with different captures (see the cache-key note above);
 // distinct functions are told apart automatically.
 func (sc *Scratch) Invalidate() { sc.prepOK = false }
+
+// Cached returns the weighted view Run built and caches in the
+// scratch, or nil if it holds none — a scratch that has only served
+// RunView never builds one.
+func (sc *Scratch) Cached() *wcsr.Graph {
+	if !sc.prepOK {
+		return nil
+	}
+	return &sc.prep
+}
+
+// resplit points the private split at shared's arcs and places its
+// light/heavy boundary at delta.
+func (sc *Scratch) resplit(workers int, shared *wcsr.Graph, delta int64) *wcsr.Graph {
+	le := sc.split.LightEnd
+	if cap(le) < shared.N {
+		le = make([]int64, shared.N)
+	}
+	sc.split = wcsr.Graph{
+		N: shared.N, Offsets: shared.Offsets, LightEnd: le[:shared.N],
+		Adj: shared.Adj, W: shared.W, MaxW: shared.MaxW,
+	}
+	sc.split.Retarget(workers, delta)
+	return &sc.split
+}
 
 // prepare returns the weighted view for (g, wf, delta), rebuilding the
 // cached one only when the graph or weight function changed. A

@@ -15,7 +15,9 @@
 // Scratch carries every reusable buffer — the distance array, the
 // cyclic bucket ring, the dedup bitmaps, and the per-worker relaxation
 // outputs — so steady-state repeated SSSP over one snapshot allocates
-// nothing.
+// nothing. Run builds (and caches in the Scratch) the view itself;
+// RunView reads a prebuilt one, so many concurrent runs can share a
+// single view per snapshot.
 package sssp
 
 import (
@@ -55,6 +57,30 @@ type Options struct {
 	// one snapshot allocation-free. The returned distance slice is owned
 	// by the Scratch and overwritten by its next run.
 	Scratch *Scratch
+}
+
+// RunView computes shortest path distances from src over a prebuilt
+// weighted view, which it only reads — so one view, such as the
+// per-snapshot view a published snapshot carries, can serve many
+// concurrent runs, each with its own Scratch. opt.Weights is ignored:
+// the view's weights are fixed. opt.Delta <= 0 (or equal to view.Delta)
+// runs on the view's own light/heavy split; any other delta runs on a
+// split private to the Scratch, placed per run by binary search over
+// the view's weight-sorted spans (Retarget cost, never a rebuild, and
+// allocation-free once warm at Workers == 1).
+func RunView(view *wcsr.Graph, src edge.ID, opt Options) []int64 {
+	sc := opt.Scratch
+	if sc == nil {
+		sc = NewScratch()
+	}
+	if opt.Delta <= 0 || opt.Delta == view.Delta {
+		return sc.run(opt.Workers, view, src)
+	}
+	dist := sc.run(opt.Workers, sc.resplit(opt.Workers, view, opt.Delta), src)
+	// Drop the borrowed arcs so an idle Scratch never pins a retired
+	// snapshot's view; only the LightEnd buffer is kept for reuse.
+	sc.split = wcsr.Graph{LightEnd: sc.split.LightEnd[:0]}
+	return dist
 }
 
 // Run computes shortest path distances from src under opt. Distances

@@ -39,6 +39,8 @@ type Graph struct {
 	W        []uint32 // weights, parallel to Adj
 	Delta    int64    // partition width (>= 1)
 	MaxW     uint32   // largest arc weight
+
+	radix []radixBuf // per-worker span-sort buffers, reused by Rebuild
 }
 
 // NumEdges returns the number of stored arcs.
@@ -117,14 +119,18 @@ func (wg *Graph) Rebuild(workers int, g *csr.Graph, wf WeightFunc, delta int64) 
 		delta = HeuristicDelta(wg.W)
 	}
 
-	// Pass 2: sort each vertex's (Adj, W) span by weight ascending, then
-	// place the light/heavy split by binary search. The sort costs
-	// O(d log d) per vertex instead of the old O(d) two-pointer pass,
-	// but it is paid once per snapshot; every later delta change is a
-	// Retarget (binary search only).
-	par.ForDynamic(workers, g.N, 256, func(vlo, vhi int) {
+	// Pass 2: sort each vertex's (Adj, W) span by (weight, neighbor)
+	// ascending, then place the light/heavy split by binary search. The
+	// sort is linear per span (radix over the digits that vary), paid
+	// once per snapshot; every later delta change is a Retarget (binary
+	// search only).
+	if len(wg.radix) < workers {
+		wg.radix = append(wg.radix, make([]radixBuf, workers-len(wg.radix))...)
+	}
+	par.ForDynamicWorker(workers, g.N, 256, func(id, vlo, vhi int) {
+		rb := &wg.radix[id]
 		for u := vlo; u < vhi; u++ {
-			sortSpan(wg.Adj, wg.W, wg.Offsets[u], wg.Offsets[u+1])
+			rb.sortSpan(wg.Adj[wg.Offsets[u]:wg.Offsets[u+1]], wg.W[wg.Offsets[u]:wg.Offsets[u+1]])
 		}
 	})
 	wg.retarget(workers, delta)
@@ -148,11 +154,18 @@ func (wg *Graph) Retarget(workers int, delta int64) {
 
 func (wg *Graph) retarget(workers int, delta int64) {
 	wg.Delta = delta
-	par.ForDynamic(workers, wg.N, 1024, func(vlo, vhi int) {
-		for u := vlo; u < vhi; u++ {
-			wg.LightEnd[u] = searchHeavy(wg.W, wg.Offsets[u], wg.Offsets[u+1], delta)
-		}
-	})
+	if workers == 1 {
+		wg.splitRange(0, wg.N) // no closure: a serial Retarget allocates nothing
+		return
+	}
+	par.ForDynamic(workers, wg.N, 1024, wg.splitRange)
+}
+
+// splitRange places LightEnd at Delta for the vertices [vlo, vhi).
+func (wg *Graph) splitRange(vlo, vhi int) {
+	for u := vlo; u < vhi; u++ {
+		wg.LightEnd[u] = searchHeavy(wg.W, wg.Offsets[u], wg.Offsets[u+1], wg.Delta)
+	}
 }
 
 // searchHeavy returns the position of the first arc in the sorted span
@@ -169,72 +182,86 @@ func searchHeavy(w []uint32, lo, hi, delta int64) int64 {
 	return lo
 }
 
-// sortSpanCutoff is the span length below which insertion sort beats
-// the quicksort machinery.
-const sortSpanCutoff = 24
+// sortSpanCutoff is the span length up to which insertion sort beats
+// the radix passes' fixed 256-bucket histogram cost.
+const sortSpanCutoff = 32
 
-// sortSpan sorts the parallel (adj, w) pair slice [lo, hi) by weight
-// ascending, breaking ties by adjacency id so the layout is a pure
-// function of the arc multiset — deterministic across rebuilds
-// regardless of source arc order. Hand-rolled on the two parallel
-// arrays: sort.Sort would cost an interface allocation per span.
-func sortSpan(adj, w []uint32, lo, hi int64) {
-	for hi-lo > sortSpanCutoff {
-		// Median-of-three pivot, middle element as representative.
-		mid := lo + (hi-lo)/2
-		if pairLess(w, adj, mid, lo) {
-			swapArc(adj, w, mid, lo)
-		}
-		if pairLess(w, adj, hi-1, lo) {
-			swapArc(adj, w, hi-1, lo)
-		}
-		if pairLess(w, adj, hi-1, mid) {
-			swapArc(adj, w, hi-1, mid)
-		}
-		pw, pa := w[mid], adj[mid]
-		i, j := lo, hi-1
-		for {
-			for w[i] < pw || (w[i] == pw && adj[i] < pa) {
-				i++
-			}
-			for pw < w[j] || (pw == w[j] && pa < adj[j]) {
+// radixBuf is one worker's ping-pong buffer pair for sortSpan, kept on
+// the Graph so a Rebuild reuses it.
+type radixBuf struct{ adj, w []uint32 }
+
+// sortSpan sorts the parallel (adj, w) span by weight ascending,
+// breaking ties by neighbor id so the layout is a pure function of the
+// arc multiset — deterministic across rebuilds regardless of source arc
+// order. Long spans take a stable LSD radix sort over the key's bytes,
+// neighbor bytes first, then weight bytes, skipping every byte on which
+// all keys of the span agree, and skipping the neighbor bytes entirely
+// when the span already arrives in neighbor order (treap-backed
+// adjacencies enumerate that way).
+func (rb *radixBuf) sortSpan(adj, w []uint32) {
+	n := len(adj)
+	if n <= sortSpanCutoff {
+		for i := 1; i < n; i++ {
+			ca, cw := adj[i], w[i]
+			j := i - 1
+			for j >= 0 && (w[j] > cw || (w[j] == cw && adj[j] > ca)) {
+				adj[j+1], w[j+1] = adj[j], w[j]
 				j--
 			}
-			if i >= j {
-				break
-			}
-			swapArc(adj, w, i, j)
-			i++
-			j--
+			adj[j+1], w[j+1] = ca, cw
 		}
-		// Recurse into the smaller side, loop on the larger: O(log d)
-		// stack depth worst case.
-		if j-lo < hi-j-1 {
-			sortSpan(adj, w, lo, j+1)
-			lo = j + 1
-		} else {
-			sortSpan(adj, w, j+1, hi)
-			hi = j + 1
-		}
+		return
 	}
-	for i := lo + 1; i < hi; i++ {
-		cw, ca := w[i], adj[i]
-		j := i - 1
-		for j >= lo && (w[j] > cw || (w[j] == cw && adj[j] > ca)) {
-			adj[j+1], w[j+1] = adj[j], w[j]
-			j--
-		}
-		adj[j+1], w[j+1] = ca, cw
+	orA, andA, orW, andW := adj[0], adj[0], w[0], w[0]
+	adjSorted := true
+	for i := 1; i < n; i++ {
+		orA |= adj[i]
+		andA &= adj[i]
+		orW |= w[i]
+		andW &= w[i]
+		adjSorted = adjSorted && adj[i-1] <= adj[i]
 	}
-}
-
-func pairLess(w, adj []uint32, i, j int64) bool {
-	return w[i] < w[j] || (w[i] == w[j] && adj[i] < adj[j])
-}
-
-func swapArc(adj, w []uint32, i, j int64) {
-	adj[i], adj[j] = adj[j], adj[i]
-	w[i], w[j] = w[j], w[i]
+	diffA, diffW := orA^andA, orW^andW
+	if adjSorted {
+		diffA = 0
+	}
+	if diffA == 0 && diffW == 0 {
+		return
+	}
+	if cap(rb.adj) < n {
+		rb.adj = make([]uint32, n)
+		rb.w = make([]uint32, n)
+	}
+	srcA, srcW := adj, w
+	dstA, dstW := rb.adj[:n], rb.w[:n]
+	for pass := 0; pass < 8; pass++ {
+		key, diff, shift := srcA, diffA, uint(8*pass)
+		if pass >= 4 {
+			key, diff, shift = srcW, diffW, uint(8*(pass-4))
+		}
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var count [256]int
+		for _, k := range key {
+			count[(k>>shift)&0xff]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i, k := range key {
+			d := (k >> shift) & 0xff
+			dstA[count[d]], dstW[count[d]] = srcA[i], srcW[i]
+			count[d]++
+		}
+		srcA, srcW, dstA, dstW = dstA, dstW, srcA, srcW
+	}
+	if &srcA[0] != &adj[0] {
+		copy(adj, srcA)
+		copy(w, srcW)
+	}
 }
 
 // Degree returns the out-degree of u.
