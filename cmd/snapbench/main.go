@@ -192,11 +192,16 @@ func main() {
 			if err != nil {
 				fatalf("bad -zipf: %v", err)
 			}
-			var trace []workload.Op
+			var trace []workload.Request
 			if *replay != "" {
-				trace, err = workload.ReadTrace(*replay)
+				f, err := os.Open(*replay)
 				if err != nil {
 					fatalf("reading -replay: %v", err)
+				}
+				trace, err = workload.ReadTrace(f)
+				f.Close()
+				if err != nil {
+					fatalf("reading -replay %q: %v", *replay, err)
 				}
 				if len(trace) == 0 {
 					fatalf("-replay trace %q is empty", *replay)

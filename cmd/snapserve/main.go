@@ -21,6 +21,12 @@
 // old generation dies with its snapshot, no scanning. -record tees
 // every accepted query into a JSONL trace (flushed on shutdown) that
 // snapbench -fig workload -replay runs back as a benchmark workload.
+// Each trace line holds one request in wire form — the registered kind
+// and the request's query string without minEpoch:
+//
+//	{"kind":"connected","query":"live=1&u=1&v=9"}
+//
+// so every kind and parameter replays exactly as it was served.
 //
 // With -wal-dir the ingest path becomes durable: submissions coalesce
 // in a group-commit batcher, each flush is framed, CRC'd, and fsynced

@@ -435,39 +435,156 @@ func TestRecordReplay(t *testing.T) {
 		t.Fatalf("clean shutdown: %v", err)
 	}
 
-	ops, err := workload.ReadTrace(trace)
-	if err != nil {
-		t.Fatal(err)
+	reqs := readTrace(t, trace)
+	want := []workload.Request{
+		{Spec: qserve.SpecBFS, Args: qserve.Args{A: 3}},
+		{Spec: qserve.SpecSSSP, Args: qserve.Args{A: 7, B: 25}},
+		{Spec: qserve.SpecConnected, Args: qserve.Args{A: 1, B: 9}},
+		{Spec: qserve.SpecComponents},
+		{Spec: qserve.SpecBFS, Args: qserve.Args{A: 3}},
 	}
-	want := []workload.Op{
-		{Kind: "bfs", U: 3},
-		{Kind: "sssp", U: 7, Delta: 25},
-		{Kind: "connected", U: 1, V: 9},
-		{Kind: "components"},
-		{Kind: "bfs", U: 3},
-	}
-	if len(ops) != len(want) {
-		t.Fatalf("trace has %d ops, want %d: %+v", len(ops), len(want), ops)
+	if len(reqs) != len(want) {
+		t.Fatalf("trace has %d requests, want %d: %+v", len(reqs), len(want), reqs)
 	}
 	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("trace op %d = %+v, want %+v", i, ops[i], want[i])
+		if reqs[i] != want[i] {
+			t.Fatalf("trace request %d = %+v, want %+v", i, reqs[i], want[i])
 		}
 	}
 
-	// Replay against a fresh engine (no recorder this time): every op
-	// must execute.
+	// Replay against a fresh engine (no recorder this time): every
+	// request must execute.
 	cfg.recordPath = ""
 	svc2, err := buildService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.close()
-	for i, op := range ops {
-		if _, err := workload.Apply(svc2.ex, op); err != nil {
-			t.Fatalf("replaying op %d %+v: %v", i, op, err)
+	for i, req := range reqs {
+		if _, err := svc2.ex.Query(req.Spec, req.Args); err != nil {
+			t.Fatalf("replaying request %d %+v: %v", i, req, err)
 		}
 	}
+}
+
+// TestRecordReplayEveryKind records one v1 request of every registered
+// kind — plus live connectivity, an explicit PageRank tolerance, and a
+// minEpoch gate — then replays the trace on a second service built
+// from the same input. Every replayed reply must encode byte-for-byte
+// like the recorded one: the trace loses nothing a reply depends on.
+func TestRecordReplayEveryKind(t *testing.T) {
+	trace := t.TempDir() + "/trace.jsonl"
+	cfg := config{
+		scale:        9,
+		edgeFactor:   8,
+		timeMax:      50,
+		seed:         42,
+		undirected:   true,
+		workers:      2,
+		queryWorkers: 1,
+		maxQueries:   4,
+		maxQueue:     1 << 10,
+		refreshDirty: 1 << 20,
+		refreshAge:   time.Hour, // frozen graph: both services serve epoch 1
+		refreshPoll:  time.Millisecond,
+		live:         true,
+		cacheBytes:   1 << 20,
+		recordPath:   trace,
+	}
+	svc, err := buildService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.srv.Handler())
+
+	params := map[string]string{
+		"bfs":        "src=3",
+		"sssp":       "src=7&delta=25",
+		"connected":  "u=1&v=9",
+		"components": "",
+		"clustering": "",
+		"khop":       "src=5&k=2",
+		"pagerank":   "",
+	}
+	var paths []string
+	for _, sp := range qserve.Specs() {
+		q, ok := params[sp.Name()]
+		if !ok {
+			t.Fatalf("no request for registered kind %q", sp.Name())
+		}
+		paths = append(paths, "/v1/query/"+sp.Name()+"?"+q)
+	}
+	paths = append(paths,
+		"/v1/query/connected?u=1&v=9&live=1",
+		"/v1/query/pagerank?tol=1e-4",
+		"/v1/query/khop?minEpoch=1&src=5&k=3",
+	)
+	var replies []json.RawMessage
+	for _, p := range paths {
+		resp, err := http.Get(ts.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Data json.RawMessage `json:"data"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d (%v)", p, resp.StatusCode, err)
+		}
+		replies = append(replies, env.Data)
+	}
+	ts.Close()
+	if err := svc.close(); err != nil {
+		t.Fatalf("clean shutdown: %v", err)
+	}
+
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "minEpoch") {
+		t.Fatalf("trace kept the minEpoch gate:\n%s", raw)
+	}
+	reqs := readTrace(t, trace)
+	if len(reqs) != len(paths) {
+		t.Fatalf("trace has %d requests, want %d:\n%s", len(reqs), len(paths), raw)
+	}
+
+	cfg.recordPath = ""
+	svc2, err := buildService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.close()
+	for i, req := range reqs {
+		res, err := svc2.ex.Query(req.Spec, req.Args)
+		if err != nil {
+			t.Fatalf("replaying %s: %v", paths[i], err)
+		}
+		got, err := json.Marshal(req.Spec.Encode(req.Args, res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(replies[i]) {
+			t.Errorf("%s: replayed reply %s, recorded %s", paths[i], got, replies[i])
+		}
+	}
+}
+
+func readTrace(t *testing.T, path string) []workload.Request {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reqs, err := workload.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
 }
 
 // TestBuildServiceFromFile exercises the -graph loading path.
@@ -493,7 +610,7 @@ func TestBuildServiceFromFile(t *testing.T) {
 	if st.Vertices != 4 || st.Arcs != 6 {
 		t.Fatalf("loaded stats = %+v, want 4 vertices / 6 arcs", st)
 	}
-	reply, err := svc.ex.BFS(0)
+	reply, err := qserve.BFS(svc.ex, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

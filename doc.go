@@ -99,20 +99,28 @@
 //     the lookup, so a hit on a stale snapshot is still refused.
 //   - A registry-based query surface (internal/qserve/registry.go):
 //     every query kind is one registered Spec — wire name, parameter
-//     decoding, cache-key derivation, kernel dispatch, reply encoding —
-//     and the HTTP route table, the generic Query entry point on both
-//     engines, and the cache keyspace are all derived from that
-//     catalog, so adding a kind is one registration, not a stack of
-//     parallel switch statements. Alongside BFS/SSSP/connectivity/
-//     components, the catalog serves clustering coefficients and
-//     triangle counts (internal/cluster, merge-intersection over
-//     dedup-sorted adjacency, float mean folded in original-id order so
-//     it is bitwise-identical across layouts and shard counts), k-hop
-//     neighborhood size (depth-truncated BFS), and PageRank on the
-//     traversal engine's Relax mode (push-residual; the fleet solves by
-//     power iteration, so PageRank is the one documented cross-engine
-//     tolerance-band exception to bit-identity). All ride the pooled
-//     scratch and cache paths at 0 allocs/op steady state, asserted.
+//     decoding, cache-key derivation, reply encoding — and the HTTP
+//     route table, the query-trace format, the cache keyspace, and
+//     each engine's kernel table (indexed by Spec.ID) are all derived
+//     from that catalog, so adding a kind is one registration plus one
+//     kernel per engine, not a stack of parallel switch statements.
+//     One generic pipeline (qserve.Pipeline: admit, pin, validate,
+//     quick answer, cache, kernel) serves both engines; typed callers
+//     use free functions over any engine (qserve.BFS(eng, src), ...).
+//     snapserve -record writes each request in wire form, one JSONL
+//     line {"kind":…,"query":…} holding the kind and the query string
+//     without minEpoch, and replay decodes it through the same Spec,
+//     so every kind and parameter (live, tol) round-trips. Alongside
+//     BFS/SSSP/connectivity/components, the catalog serves clustering
+//     coefficients and triangle counts (internal/cluster,
+//     merge-intersection over dedup-sorted adjacency, float mean folded
+//     in original-id order so it is bitwise-identical across layouts
+//     and shard counts), k-hop neighborhood size (depth-truncated BFS),
+//     and PageRank on the traversal engine's Relax mode
+//     (push-residual; the fleet solves by power iteration, so PageRank
+//     is the one documented cross-engine tolerance-band exception to
+//     bit-identity). All ride the pooled scratch and cache paths at 0
+//     allocs/op steady state, asserted.
 //     GET /v1/query/<kind> wraps replies in a typed envelope
 //     {kind, epoch, cache, data} with structured error codes; the flat
 //     /query/<kind> routes remain as pinned aliases. Between-refresh

@@ -3,8 +3,11 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"snapdyn/internal/qserve"
 	"snapdyn/internal/timing"
+	"snapdyn/internal/workload"
 )
 
 // tinyConfig keeps driver tests fast.
@@ -118,5 +121,40 @@ func TestKernelSweepSSSP(t *testing.T) {
 	// One row per (delta, worker) plus the Dijkstra baseline.
 	if want := len(cfg.Deltas)*len(cfg.Workers) + 1; len(tbl.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), want)
+	}
+}
+
+// TestFigWorkloadReplaysEveryKind replays a trace holding one request
+// of every registered kind, a live connectivity request, and a vertex
+// outside the instance: the figure serves them all (live from a live
+// index), counts the out-of-range one as rejected, and never panics.
+func TestFigWorkloadReplaysEveryKind(t *testing.T) {
+	trace := `{"kind":"bfs","query":"src=3"}
+{"kind":"sssp","query":"delta=25&src=7"}
+{"kind":"connected","query":"u=1&v=9"}
+{"kind":"connected","query":"live=1&u=1&v=9"}
+{"kind":"components","query":""}
+{"kind":"clustering","query":""}
+{"kind":"khop","query":"k=2&src=5"}
+{"kind":"pagerank","query":"tol=0.001"}
+{"kind":"bfs","query":"src=4000000"}
+`
+	reqs, err := workload.ReadTrace(strings.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{}
+	for _, r := range reqs {
+		kinds[r.Spec.Name()] = true
+	}
+	if len(kinds) != qserve.NumSpecs() {
+		t.Fatalf("trace covers %d kinds, want all %d", len(kinds), qserve.NumSpecs())
+	}
+	tbl := FigWorkload(tinyConfig(), nil, 0, 0, 100*time.Millisecond, reqs)
+	checkTable(t, tbl, "replay-uncached", "replay-cached")
+	for _, m := range tbl.Rows {
+		if !strings.Contains(m.Param, "rejected=") {
+			t.Fatalf("%s: out-of-range request not counted as rejected: %s", m.Label, m.Param)
+		}
 	}
 }

@@ -167,7 +167,7 @@ func drive(mgr *snapmgr.Manager, qworkers int, perPoint time.Duration,
 					return
 				default:
 				}
-				if _, err := ex.BFS(src % uint32(mgr.Store().NumVertices())); err != nil {
+				if _, err := qserve.BFS(ex, src%uint32(mgr.Store().NumVertices())); err != nil {
 					panic(fmt.Sprintf("bench: query under ingest load: %v", err))
 				}
 				src = src*1664525 + 1013904223

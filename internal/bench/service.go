@@ -136,11 +136,11 @@ func FigService(cfg Config, maxQueryWorkers int, perPoint time.Duration) *timing
 						var err error
 						switch i % 3 {
 						case 0:
-							_, err = ex.BFS(s)
+							_, err = qserve.BFS(ex, s)
 						case 1:
-							_, err = ex.SSSP(s, 0)
+							_, err = qserve.SSSP(ex, s, 0)
 						default:
-							_, err = ex.Connected(s, sources[(int(src)+7)%len(sources)])
+							_, err = qserve.Connected(ex, s, sources[(int(src)+7)%len(sources)])
 						}
 						if err != nil {
 							panic(fmt.Sprintf("bench: service query failed: %v", err))

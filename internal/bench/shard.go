@@ -154,11 +154,11 @@ func FigShard(cfg Config, shardCounts []int, qworkers int, perPoint time.Duratio
 						var err error
 						switch i % 3 {
 						case 0:
-							_, err = ex.BFS(s)
+							_, err = qserve.BFS(ex, s)
 						case 1:
-							_, err = ex.SSSP(s, 0)
+							_, err = qserve.SSSP(ex, s, 0)
 						default:
-							_, err = ex.Connected(s, sources[(int(src)+7)%len(sources)])
+							_, err = qserve.Connected(ex, s, sources[(int(src)+7)%len(sources)])
 						}
 						if err != nil {
 							panic(fmt.Sprintf("bench: shard query failed: %v", err))

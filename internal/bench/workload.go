@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,12 @@ const workloadSourcePool = 256
 //
 // replay, when non-empty, substitutes a captured trace for the
 // synthetic generator (zipfs is ignored): the workers round-robin the
-// trace's ops verbatim — the reproduce-a-regression path, fed by
-// snapserve -record.
-func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, perPoint time.Duration, replay []workload.Op) *timing.Table {
+// trace's requests verbatim, every registered kind included — the
+// reproduce-a-regression path, fed by snapserve -record. Live
+// connectivity requests are served from a live index the churn keeps
+// current; requests the instance cannot answer (a vertex outside this
+// graph) are counted as rejected, not served.
+func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, perPoint time.Duration, replay []workload.Request) *timing.Table {
 	if len(zipfs) == 0 {
 		zipfs = []float64{0, 0.8, 1.2}
 	}
@@ -102,6 +106,9 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 			Undirected:    true,
 			CacheBytes:    budget,
 		})
+		if needsLive(replay) {
+			ex.EnableLive()
+		}
 
 		stopIngest := make(chan struct{})
 		var applied atomic.Int64
@@ -121,13 +128,15 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 				// still dirties the store every window, so every refresh is
 				// a real snapshot swap.
 				b := churn[i%len(churn)]
-				mgr.Ingest(func(s *dyngraph.Tracked) { s.ApplyBatch(iw, b) })
+				if _, err := ex.Ingest(iw, b); err != nil {
+					panic(fmt.Sprintf("bench: churn ingest failed: %v", err))
+				}
 				applied.Add(int64(len(b)))
 			}
 		}()
 
 		lats := make([][]time.Duration, queryWorkers)
-		var shed atomic.Int64
+		var shed, rejected atomic.Int64
 		deadline := time.Now().Add(perPoint)
 		var qwg sync.WaitGroup
 		elapsed := timing.Time(func() {
@@ -142,23 +151,23 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 					}
 					lat := make([]time.Duration, 0, 4096)
 					for i := q; time.Now().Before(deadline); i += queryWorkers {
-						var op workload.Op
+						var req workload.Request
 						if replay != nil {
-							op = replay[i%len(replay)]
+							req = replay[i%len(replay)]
 						} else {
-							op = gens[q].Next()
-							// Map the generator's rank-space source ids
-							// into the sampled pool.
-							op.U = sources[int(op.U)%len(sources)]
-							op.V = sources[int(op.V)%len(sources)]
+							req = gens[q].Next()
 						}
 						if arr != nil {
 							time.Sleep(arr.Next())
 						}
 						start := time.Now()
-						if _, err := workload.Apply(ex, op); err != nil {
-							if err == qserve.ErrOverloaded {
+						if _, err := ex.Query(req.Spec, req.Args); err != nil {
+							switch {
+							case errors.Is(err, qserve.ErrOverloaded):
 								shed.Add(1)
+								continue
+							case replay != nil && errors.Is(err, qserve.ErrBadVertex):
+								rejected.Add(1)
 								continue
 							}
 							panic(fmt.Sprintf("bench: workload query failed: %v", err))
@@ -190,6 +199,9 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 		if s := shed.Load(); s > 0 {
 			extraCols += fmt.Sprintf(" shed=%d", s)
 		}
+		if r := rejected.Load(); r > 0 {
+			extraCols += fmt.Sprintf(" rejected=%d", r)
+		}
 		t.Add(timing.Measurement{
 			Label: label,
 			Param: fmt.Sprintf("%s qps=%.0f p50=%s p99=%s%s", param, float64(served)/elapsed,
@@ -208,7 +220,7 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 				return nil
 			}
 			root := workload.NewGenerator(workload.Config{
-				Vertices: workloadSourcePool, ZipfS: s, Seed: cfg.Seed + 1000 + seedOff,
+				Sources: sources, ZipfS: s, Seed: cfg.Seed + 1000 + seedOff,
 			})
 			gens := make([]*workload.Generator, queryWorkers)
 			for q := range gens {
@@ -226,6 +238,17 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 		runPoint(label+"-cached", param, cacheBytes, mkGens(0))
 	}
 	return t
+}
+
+// needsLive reports whether a replayed trace holds live connectivity
+// requests, which only an executor with a live index can answer.
+func needsLive(reqs []workload.Request) bool {
+	for _, r := range reqs {
+		if r.Args.Live {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyGeneration recomputes up to 48 of the surviving generation's
@@ -293,6 +316,10 @@ func verifyGeneration(g *qcache.Gen) int {
 						i, v.Labels[i], comp[i]))
 				}
 			}
+		default:
+			// Replayed traces reach the other kinds; they have no
+			// recomputation here and are not counted as verified.
+			return true
 		}
 		checked++
 		return true

@@ -113,11 +113,11 @@ func TestCacheHammer(t *testing.T) {
 				var err error
 				switch i % 4 {
 				case 0, 1:
-					_, err = ex.BFS(src % 16)
+					_, err = BFS(ex, src%16)
 				case 2:
-					_, err = ex.SSSP(src%16, 0)
+					_, err = SSSP(ex, src%16, 0)
 				default:
-					_, err = ex.Connected(src%16, (src+5)%16)
+					_, err = Connected(ex, src%16, (src+5)%16)
 				}
 				if err != nil && !errors.Is(err, ErrOverloaded) {
 					t.Errorf("query failed: %v", err)
@@ -192,7 +192,7 @@ func TestCacheHammer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := ex.BFS(1); err != nil {
+	if _, err := BFS(ex, 1); err != nil {
 		t.Fatal(err)
 	}
 	newGen := ex.cache.Current()
@@ -213,10 +213,10 @@ func TestCacheIdentityInvalidation(t *testing.T) {
 	mgr, _ := newManager(t, 8, 29)
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 8 << 20})
 
-	if _, err := ex.BFS(1); err != nil {
+	if _, err := BFS(ex, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.SSSP(1, 0); err != nil {
+	if _, err := SSSP(ex, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	gen := ex.cache.Current()
@@ -236,7 +236,7 @@ func TestCacheIdentityInvalidation(t *testing.T) {
 	if mgr.View() != view {
 		t.Fatal("clean refresh replaced the view pointer; identity test needs a no-op republish")
 	}
-	got, err := ex.BFS(1)
+	got, err := BFS(ex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCacheIdentityInvalidation(t *testing.T) {
 		t.Fatal("dirty refresh republished the same view pointer")
 	}
 	missesBefore := ex.cache.Counters().Misses
-	if _, err := ex.BFS(1); err != nil {
+	if _, err := BFS(ex, 1); err != nil {
 		t.Fatal(err)
 	}
 	nc := ex.cache.Counters()
@@ -289,13 +289,13 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 64 << 20})
 
 	warm := func() {
-		if _, err := ex.BFS(1); err != nil {
+		if _, err := BFS(ex, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.SSSP(1, 0); err != nil {
+		if _, err := SSSP(ex, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.Connected(1, 2); err != nil {
+		if _, err := Connected(ex, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,21 +306,21 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	}
 
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.BFS(1); err != nil {
+		if _, err := BFS(ex, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("cache-hit BFS allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.SSSP(1, 0); err != nil {
+		if _, err := SSSP(ex, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("cache-hit SSSP allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.Connected(1, 2); err != nil {
+		if _, err := Connected(ex, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -335,7 +335,7 @@ func TestCachedStatsWireFields(t *testing.T) {
 	mgr, _ := newManager(t, 8, 37)
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 8 << 20})
 	for i := 0; i < 2; i++ {
-		if _, err := ex.BFS(1); err != nil {
+		if _, err := BFS(ex, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func TestCachedStatsWireFields(t *testing.T) {
 	}
 
 	off := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
-	if _, err := off.BFS(1); err != nil {
+	if _, err := BFS(off, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st := off.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheBytes != 0 {

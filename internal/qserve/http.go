@@ -42,11 +42,13 @@ type Server struct {
 
 // QueryRecorder observes every well-formed query request before it is
 // dispatched (hit, miss, shed, or stale alike — the trace captures
-// offered load, not served load). internal/workload implements it over
+// offered load, not served load), in wire form: the kind and the
+// request's encoded query string without minEpoch, which Spec.Decode
+// turns back into the same Args. internal/workload implements it over
 // a JSONL trace file for snapserve -record / snapbench -replay.
 // Implementations must be safe for concurrent use.
 type QueryRecorder interface {
-	RecordQuery(kind string, u, v uint32, delta int64)
+	RecordQuery(sp *Spec, query string)
 }
 
 // DefaultStaleWait bounds how long a query with a minEpoch constraint
@@ -66,12 +68,6 @@ func (s *Server) SetStaleWait(d time.Duration) { s.staleWait = d }
 
 // SetRecorder installs a query-trace recorder. Call before serving.
 func (s *Server) SetRecorder(rec QueryRecorder) { s.rec = rec }
-
-func (s *Server) record(kind string, u, v uint32, delta int64) {
-	if s.rec != nil {
-		s.rec.RecordQuery(kind, u, v, delta)
-	}
-}
 
 // Handler returns the route table, generated from the kind registry.
 func (s *Server) Handler() http.Handler {
@@ -103,17 +99,24 @@ type Envelope struct {
 
 // queryHandler builds the handler for one registered kind: decode →
 // record → minEpoch gate → engine dispatch → encode, identical on both
-// routes; v1 selects the envelope framing and structured errors.
+// routes; v1 selects the envelope framing and structured errors. The
+// query string is parsed once and serves all three readers.
 func (s *Server) queryHandler(sp *Spec, v1 bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		a, err := sp.Decode(r.URL.Query())
+		q := r.URL.Query()
+		a, err := sp.Decode(q)
 		if err != nil {
 			s.fail(w, v1, err)
 			return
 		}
-		ru, rv, delta := sp.Record(a)
-		s.record(sp.Name(), ru, rv, delta)
-		if err := s.waitMinEpoch(r); err != nil {
+		minEpoch := q.Get("minEpoch")
+		if s.rec != nil {
+			// The freshness gate belongs to the live request, not to the
+			// query it replays as.
+			q.Del("minEpoch")
+			s.rec.RecordQuery(sp, q.Encode())
+		}
+		if err := s.waitMinEpoch(minEpoch); err != nil {
 			s.fail(w, v1, err)
 			return
 		}
@@ -169,13 +172,12 @@ type Health struct {
 	Counters      Counters `json:"counters"`
 }
 
-// waitMinEpoch honors an optional minEpoch query parameter: the
-// read-your-writes handshake. A client holding the ack epoch from
-// /ingest passes it back as minEpoch and is guaranteed to observe its
-// writes — or get a retryable 503 (ErrStale) if the snapshot does not
-// publish within the staleness bound.
-func (s *Server) waitMinEpoch(r *http.Request) error {
-	v := r.URL.Query().Get("minEpoch")
+// waitMinEpoch honors an optional minEpoch query parameter (v, "" when
+// absent): the read-your-writes handshake. A client holding the ack
+// epoch from /ingest passes it back as minEpoch and is guaranteed to
+// observe its writes — or get a retryable 503 (ErrStale) if the
+// snapshot does not publish within the staleness bound.
+func (s *Server) waitMinEpoch(v string) error {
 	if v == "" {
 		return nil
 	}

@@ -24,18 +24,16 @@ type ClusteringReply struct {
 }
 
 // Clustering counts triangles and averages local clustering
-// coefficients over the current snapshot. The enumeration arena is
-// pooled (cluster.Scratch), so the steady state allocates nothing per
-// request at the serving config; the aggregation runs in original-id
-// order, so every storage layout (and the shard fleet) answers
+// coefficients over the engine's current snapshot. The enumeration
+// arena is pooled (cluster.Scratch), so the steady state allocates
+// nothing per request at the serving config; the aggregation runs in
+// original-id order, so every storage layout and the shard fleet answer
 // bit-identically — triangle counts are integers and the float average
 // is summed in the same order everywhere.
-func (e *Executor) Clustering() (ClusteringReply, error) {
-	r, err := e.Query(SpecClustering, Args{})
-	if err != nil {
-		return ClusteringReply{}, err
-	}
-	return ClusteringReplyFrom(r), nil
+func Clustering(eng Engine) (ClusteringReply, error) {
+	return query(eng, SpecClustering, Args{}, func(_ Args, r Result) ClusteringReply {
+		return ClusteringReplyFrom(r)
+	})
 }
 
 // KHopReply summarizes one k-hop neighborhood query.
@@ -47,17 +45,12 @@ type KHopReply struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
-// KHop counts the vertices within k hops of src: a BFS whose pooled
-// level-end hook stops the traversal after level k, so arcs beyond the
-// horizon are never expanded. Hop counts are id-invariant; every
-// layout answers bit-identically.
-func (e *Executor) KHop(src, k uint32) (KHopReply, error) {
-	a := Args{A: uint64(src), B: uint64(k)}
-	r, err := e.Query(SpecKHop, a)
-	if err != nil {
-		return KHopReply{}, err
-	}
-	return KHopReplyFrom(a, r), nil
+// KHop counts the vertices within k hops of src: a BFS that stops
+// after level k, so arcs beyond the horizon are never expanded. Hop
+// counts are id-invariant; every layout and the fleet answer
+// bit-identically.
+func KHop(eng Engine, src, k uint32) (KHopReply, error) {
+	return query(eng, SpecKHop, Args{A: uint64(src), B: uint64(k)}, KHopReplyFrom)
 }
 
 // PageRankReply summarizes one PageRank query.
@@ -75,7 +68,8 @@ type PageRankReply struct {
 }
 
 // PageRank solves PageRank to the given residual tolerance (tol <= 0
-// picks DefaultPageRankTol) as an iterative kernel on the traversal
+// picks DefaultPageRankTol). The fleet runs sharded power iteration;
+// the single-snapshot engine runs an iterative kernel on the traversal
 // engine's label-correcting Relax mode: every vertex starts with
 // residual 1-d, a frontier vertex pushes its harvested residual along
 // its out-arcs, and a head vertex re-enters the frontier when its
@@ -87,21 +81,16 @@ type PageRankReply struct {
 // order, and retained sub-tolerance residuals depend on schedule, so
 // answers agree only to within a tolerance-proportional error — the
 // documented exception to the bit-identity guarantee.
-func (e *Executor) PageRank(tol float64) (PageRankReply, error) {
-	a := PageRankArgs(tol)
-	r, err := e.Query(SpecPageRank, a)
-	if err != nil {
-		return PageRankReply{}, err
-	}
-	return PageRankReplyFrom(a, r), nil
+func PageRank(eng Engine, tol float64) (PageRankReply, error) {
+	return query(eng, SpecPageRank, PageRankArgs(tol), PageRankReplyFrom)
 }
 
 // PageRankArgs builds the PageRank argument set from a tolerance,
 // applying the default and the termination floor exactly like the HTTP
-// decoder; PageRankTol recovers the tolerance. Both engines' typed
-// methods and kernels share them so a tolerance means the same thing
-// everywhere (including in the cache key, which is the tolerance's
-// bits).
+// decoder; PageRankTol recovers the tolerance. The typed PageRank call
+// and both engines' kernels share them so a tolerance means the same
+// thing everywhere (including in the cache key, which is the
+// tolerance's bits).
 func PageRankArgs(tol float64) Args {
 	if tol <= 0 {
 		tol = DefaultPageRankTol
@@ -120,8 +109,8 @@ func PageRankTol(a Args) float64 { return math.Float64frombits(a.A) }
 // into layout space), so the float average is summed in the same order
 // under every layout; keep copies the triangle counts out for the
 // cache (layout id space, like every cached payload).
-func (e *Executor) clusteringValue(v *snapmgr.View, epoch uint64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+func (e *Executor) clusteringValue(v *snapmgr.View, _ Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
@@ -138,7 +127,7 @@ func (e *Executor) clusteringValue(v *snapmgr.View, epoch uint64, keep bool) qca
 	if keep {
 		val.Dist = append([]int64(nil), s.clus.Triangles()...)
 	}
-	return val
+	return val, nil
 }
 
 // maxKHop caps the k parameter; any larger k behaves as unbounded
@@ -146,12 +135,14 @@ func (e *Executor) clusteringValue(v *snapmgr.View, epoch uint64, keep bool) qca
 // arithmetic safely inside int32.
 const maxKHop = 1 << 30
 
-// khopValue runs the depth-limited BFS against the pinned view.
-func (e *Executor) khopValue(v *snapmgr.View, epoch uint64, src uint32, k int32, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+// khopValue runs the depth-limited BFS against the pinned view: a
+// pooled level-end hook counts discoveries through level k and stops
+// the traversal there.
+func (e *Executor) khopValue(v *snapmgr.View, a Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
-	s.src[0] = translate(v, src)
-	s.khopK = k
+	s.src[0] = translate(v, uint32(a.A))
+	s.khopK = int32(a.B)
 	s.khopReached = 1 // the source itself
 	opt := traversal.Options{
 		Workers:  e.cfg.Workers,
@@ -167,7 +158,7 @@ func (e *Executor) khopValue(v *snapmgr.View, epoch uint64, src uint32, k int32,
 	if keep {
 		val.Levels = append([]int32(nil), s.res.Level...)
 	}
-	return val
+	return val, nil
 }
 
 // PageRank solve parameters. The damping factor is fixed — it is part
@@ -221,8 +212,8 @@ func prRelaxStep(s *scratchSet) func(u, v, t uint32) bool {
 // pagerankValue runs the push-residual PageRank solve against the
 // pinned view. All state is pooled; at Workers=1 the steady state
 // allocates nothing per request.
-func (e *Executor) pagerankValue(v *snapmgr.View, epoch uint64, tol float64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+func (e *Executor) pagerankValue(v *snapmgr.View, a Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
 	n := v.NumVertices()
 	s.prRank = resizeF64(s.prRank, n)
@@ -238,7 +229,7 @@ func (e *Executor) pagerankValue(v *snapmgr.View, epoch uint64, tol float64, kee
 		s.prSrcs[i] = uint32(i)
 	}
 	s.prLevel = 1
-	s.prTol = tol
+	s.prTol = PageRankTol(a)
 	s.prView = v
 	opt := traversal.Options{
 		Workers: e.cfg.Workers,
@@ -266,7 +257,7 @@ func (e *Executor) pagerankValue(v *snapmgr.View, epoch uint64, tol float64, kee
 	if keep {
 		val.Ranks = append([]float64(nil), s.prRank[:n]...)
 	}
-	return val
+	return val, nil
 }
 
 // atomicAddFloat adds x to the float64 stored as bits at p, returning

@@ -23,7 +23,7 @@ func TestClusteringMatchesReference(t *testing.T) {
 	g := mgr.Current()
 
 	want := cluster.Compute(1, g)
-	got, err := ex.Clustering()
+	got, err := Clustering(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestKHopMatchesBFSLevels(t *testing.T) {
 					want++
 				}
 			}
-			got, err := ex.KHop(src, k)
+			got, err := KHop(ex, src, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestKHopMatchesBFSLevels(t *testing.T) {
 			}
 		}
 		// Unbounded k reaches exactly the BFS closure.
-		got, err := ex.KHop(src, maxKHop)
+		got, err := KHop(ex, src, maxKHop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 		}
 	}
 
-	got, err := ex.PageRank(tol)
+	got, err := PageRank(ex, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 
 	// Repeat query at the same tolerance hits the cache and answers
 	// identically.
-	again, err := ex.PageRank(tol)
+	again, err := PageRank(ex, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,23 +230,23 @@ func TestNewKindsLayoutEquivalence(t *testing.T) {
 
 	check := func(round int) {
 		t.Helper()
-		wantCl, err := exs[0].Clustering()
+		wantCl, err := Clustering(exs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPR, err := exs[0].PageRank(tol)
+		wantPR, err := PageRank(exs[0], tol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, l := range layouts[1:] {
-			cl, err := exs[i+1].Clustering()
+			cl, err := Clustering(exs[i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cl.Triangles != wantCl.Triangles || cl.Counted != wantCl.Counted || cl.AvgLocal != wantCl.AvgLocal {
 				t.Fatalf("round %d %v: Clustering = %+v, want %+v (bit-identical)", round, l, cl, wantCl)
 			}
-			pr, err := exs[i+1].PageRank(tol)
+			pr, err := PageRank(exs[i+1], tol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,12 +256,12 @@ func TestNewKindsLayoutEquivalence(t *testing.T) {
 		}
 		for _, src := range []uint32{0, 3, 101, 511} {
 			for _, k := range []uint32{0, 1, 2, 5, maxKHop} {
-				want, err := exs[0].KHop(src, k)
+				want, err := KHop(exs[0], src, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, l := range layouts[1:] {
-					got, err := exs[i+1].KHop(src, k)
+					got, err := KHop(exs[i+1], src, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -305,13 +305,13 @@ func TestNewKindsSteadyStateZeroAlloc(t *testing.T) {
 	ex := New(mgr, Config{Undirected: true, Workers: 1, MaxConcurrent: 1})
 
 	warm := func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.PageRank(1e-4); err != nil {
+		if _, err := PageRank(ex, 1e-4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,21 +319,21 @@ func TestNewKindsSteadyStateZeroAlloc(t *testing.T) {
 	warm()
 
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("steady-state clustering query allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("steady-state khop query allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := ex.PageRank(1e-4); err != nil {
+		if _, err := PageRank(ex, 1e-4); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -349,13 +349,13 @@ func TestNewKindsCacheHitZeroAlloc(t *testing.T) {
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 64 << 20})
 
 	warm := func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.PageRank(0); err != nil {
+		if _, err := PageRank(ex, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,21 +366,21 @@ func TestNewKindsCacheHitZeroAlloc(t *testing.T) {
 	}
 
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("cache-hit clustering allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("cache-hit khop allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := ex.PageRank(0); err != nil {
+		if _, err := PageRank(ex, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {

@@ -45,23 +45,23 @@ func TestLayoutsAnswerIdentically(t *testing.T) {
 		t.Helper()
 		srcs := []uint32{0, 3, 101, 511}
 		for _, src := range srcs {
-			want, err := exs[0].BFS(src)
+			want, err := BFS(exs[0], src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSP, err := exs[0].SSSP(src, 0)
+			wantSP, err := SSSP(exs[0], src, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, l := range layouts[1:] {
-				got, err := exs[i+1].BFS(src)
+				got, err := BFS(exs[i+1], src)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Reached != want.Reached || got.Levels != want.Levels {
 					t.Fatalf("round %d %v: BFS(%d) = %+v, want %+v", round, l, src, got, want)
 				}
-				sp, err := exs[i+1].SSSP(src, 0)
+				sp, err := SSSP(exs[i+1], src, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,12 +71,12 @@ func TestLayoutsAnswerIdentically(t *testing.T) {
 			}
 		}
 		for _, q := range [][2]uint32{{0, 0}, {1, 2}, {5, 200}, {17, 400}} {
-			want, err := exs[0].Connected(q[0], q[1])
+			want, err := Connected(exs[0], q[0], q[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, l := range layouts[1:] {
-				got, err := exs[i+1].Connected(q[0], q[1])
+				got, err := Connected(exs[i+1], q[0], q[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,12 +85,12 @@ func TestLayoutsAnswerIdentically(t *testing.T) {
 				}
 			}
 		}
-		want, err := exs[0].Components()
+		want, err := Components(exs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, l := range layouts[1:] {
-			got, err := exs[i+1].Components()
+			got, err := Components(exs[i+1])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,7 +61,7 @@ func TestLiveConnectivityAgreesWithSnapshots(t *testing.T) {
 		// Quiesce: publish a snapshot containing exactly the applied
 		// updates, then compare component structure.
 		mgr.Refresh(0)
-		snap, err := ex.Components()
+		snap, err := Components(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestLiveConnectivityAgreesWithSnapshots(t *testing.T) {
 		}
 		for i := 0; i < 25; i++ {
 			u, v := r.Uint32n(n), r.Uint32n(n)
-			lr, err := ex.ConnectedLive(u, v)
+			lr, err := ConnectedLive(ex, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := ex.Connected(u, v)
+			sr, err := Connected(ex, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestLiveFreshness(t *testing.T) {
 	r := xrand.New(3)
 	for i := 0; i < 10000 && !found; i++ {
 		u, v = r.Uint32n(n), r.Uint32n(n)
-		sr, err := ex.Connected(u, v)
+		sr, err := Connected(ex, u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +121,14 @@ func TestLiveFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lr, err := ex.ConnectedLive(u, v)
+	lr, err := ConnectedLive(ex, u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !lr.Connected {
 		t.Fatal("live query did not observe the acknowledged ingest")
 	}
-	sr, err := ex.Connected(u, v)
+	sr, err := Connected(ex, u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestLiveFreshness(t *testing.T) {
 		t.Fatal("snapshot query observed an unpublished update (no refresh ran)")
 	}
 	mgr.Refresh(0)
-	sr, err = ex.Connected(u, v)
+	sr, err = Connected(ex, u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,10 @@ func TestLiveUnsupportedUntilEnabled(t *testing.T) {
 	mgr, _ := newManager(t, 6, 71)
 	ex := New(mgr, Config{Undirected: true})
 
-	if _, err := ex.ConnectedLive(1, 2); !errors.Is(err, ErrUnsupported) {
+	if _, err := ConnectedLive(ex, 1, 2); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("ConnectedLive before EnableLive: err = %v, want ErrUnsupported", err)
 	}
-	r, err := ex.ConnectedLive(5, 5)
+	r, err := ConnectedLive(ex, 5, 5)
 	if err != nil {
 		t.Fatalf("reflexive live query needs no forest, got %v", err)
 	}
@@ -164,7 +164,7 @@ func TestLiveUnsupportedUntilEnabled(t *testing.T) {
 	}
 
 	ex.EnableLive()
-	if _, err := ex.ConnectedLive(1, 2); err != nil {
+	if _, err := ConnectedLive(ex, 1, 2); err != nil {
 		t.Fatalf("ConnectedLive after EnableLive: %v", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestLiveNotCachedAndZeroAlloc(t *testing.T) {
 	if res.Cache != CacheLive {
 		t.Fatalf("live query disposition = %v, want CacheLive", res.Cache)
 	}
-	if _, err := ex.ConnectedLive(1, 2); err != nil {
+	if _, err := ConnectedLive(ex, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if c := ex.Cache().Counters(); c.Hits != 0 || c.Misses != 0 || c.Bytes != 0 {
@@ -194,7 +194,7 @@ func TestLiveNotCachedAndZeroAlloc(t *testing.T) {
 	}
 
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := ex.ConnectedLive(1, 2); err != nil {
+		if _, err := ConnectedLive(ex, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -262,17 +262,17 @@ func TestLiveConnHammer(t *testing.T) {
 				u, v := r.Uint32n(n), r.Uint32n(n)
 				switch i % 4 {
 				case 0:
-					if _, err := ex.ConnectedLive(u, v); err != nil {
+					if _, err := ConnectedLive(ex, u, v); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := ex.Connected(u, v); err != nil {
+					if _, err := Connected(ex, u, v); err != nil {
 						t.Error(err)
 						return
 					}
 				case 2:
-					if _, err := ex.Components(); err != nil {
+					if _, err := Components(ex); err != nil {
 						t.Error(err)
 						return
 					}
@@ -302,7 +302,7 @@ func TestLiveConnHammer(t *testing.T) {
 	// Quiesce: one final refresh, then the forest and the snapshot must
 	// agree exactly.
 	mgr.Refresh(0)
-	snap, err := ex.Components()
+	snap, err := Components(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +312,11 @@ func TestLiveConnHammer(t *testing.T) {
 	r := xrand.New(5)
 	for i := 0; i < 50; i++ {
 		u, v := r.Uint32n(n), r.Uint32n(n)
-		lr, err := ex.ConnectedLive(u, v)
+		lr, err := ConnectedLive(ex, u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := ex.Connected(u, v)
+		sr, err := Connected(ex, u, v)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,12 @@
 //
 // Query kinds are registered, not hand-plumbed: each kind appears once
 // in this package's registry (see registry.go) with its wire name,
-// parameter decoding, cache-key derivation, kernel, and reply encoding,
-// and the generic (*Executor).Query path runs every kind through the
-// same admission, validation, caching, and scratch-pooling flow. The
+// parameter decoding, cache-key derivation, and reply encoding. One
+// generic Pipeline runs every kind through the same admission,
+// validation, and caching flow on either engine; an engine contributes
+// only its snapshot pin and a kernel table indexed by Spec.ID. Typed
+// callers use the free functions BFS, SSSP, Connected, ConnectedLive,
+// Components, Clustering, KHop, and PageRank over any Engine. The
 // registered kinds are BFS, delta-stepping SSSP, st-connectivity
 // (snapshot or live), connected components, clustering coefficients,
 // k-hop neighborhood size, and PageRank; stats and the offline sampled
@@ -35,9 +38,6 @@
 // weighted view the published snapshot itself carries
 // (snapmgr.View.Weighted): built once, on the snapshot's first SSSP
 // miss, shared by every pooled slot, and reclaimed with the snapshot.
-// The free list tags each scratch with the epoch it last served so
-// that revalidation has one hook point (and so tests can observe
-// reuse).
 package qserve
 
 import (
@@ -160,13 +160,6 @@ type scratchSet struct {
 	prView     *snapmgr.View
 	prRelax    func(u, v, t uint32) bool
 	prLevelEnd func(int32, int) bool
-
-	// epoch is the snapshot version this set last served. Kernel
-	// scratches self-revalidate (traversal by (n, m); sssp keeps no
-	// snapshot state), so nothing is rebuilt eagerly on an epoch
-	// change; the tag exists so revalidate has a place to hang any
-	// future cache that is keyed by epoch rather than by shape.
-	epoch uint64
 }
 
 func newScratchSet() *scratchSet {
@@ -189,11 +182,6 @@ func newScratchSet() *scratchSet {
 	return s
 }
 
-// revalidate prepares the set for a snapshot at the given epoch. The
-// kernel scratches detect shape/graph changes on their own, so this is
-// only the epoch tag today.
-func (s *scratchSet) revalidate(epoch uint64) { s.epoch = epoch }
-
 // Counters reports executor activity. Served counts completed queries,
 // Shed the ones refused with ErrOverloaded, Inflight and Waiting the
 // instantaneous occupancy.
@@ -205,20 +193,16 @@ type Counters struct {
 }
 
 // Engine is the query surface the HTTP server (and any other frontend)
-// serves: the generic registry-driven Query entry point, the legacy
-// typed methods (thin wrappers over Query), plus ingest, admission
-// counters, and refresh health. The single-snapshot Executor
+// serves: the generic registry-driven Query entry point plus ingest,
+// admission counters, and refresh health. The single-snapshot Executor
 // implements it, and so does the sharded fleet executor in
-// internal/shard — one facade, two engines.
+// internal/shard — one facade, two engines, both answering Query
+// through an embedded Pipeline.
 type Engine interface {
 	// Query runs one registered query kind through the engine's
 	// admission, validation, cache, and kernel-dispatch flow. Kinds an
 	// engine cannot serve fail with ErrUnsupported.
 	Query(sp *Spec, a Args) (Result, error)
-	BFS(src uint32) (BFSReply, error)
-	SSSP(src uint32, delta int64) (SSSPReply, error)
-	Connected(u, v uint32) (ConnReply, error)
-	Components() (ComponentsReply, error)
 	Stats() StatsReply
 	Counters() Counters
 	// NumVertices is the fixed vertex-set size, for ingest validation.
@@ -241,9 +225,12 @@ type Engine interface {
 // Executor runs queries against mgr.Current() with pooled scratch and
 // bounded admission. All methods are safe for concurrent use.
 type Executor struct {
+	// Pipeline serves Query and Counters over the pinned published
+	// view, with this executor's kernel table.
+	Pipeline[*snapmgr.View]
+
 	mgr   *snapmgr.Manager
 	cfg   Config
-	adm   *Admission
 	free  chan *scratchSet
 	cache *qcache.Cache // nil when Config.CacheBytes <= 0
 
@@ -261,13 +248,23 @@ var _ Engine = (*Executor)(nil)
 // New returns an executor over the manager's published snapshots.
 func New(mgr *snapmgr.Manager, cfg Config) *Executor {
 	cfg = cfg.WithDefaults()
-	return &Executor{
+	e := &Executor{
 		mgr:   mgr,
 		cfg:   cfg,
-		adm:   NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		free:  make(chan *scratchSet, cfg.MaxConcurrent),
 		cache: qcache.New(cfg.CacheBytes),
 	}
+	e.Pipeline = NewPipeline(NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue), e.NumVertices(), e.checkout, nil,
+		map[*Spec]Kernel[*snapmgr.View]{
+			SpecBFS:        e.bfsValue,
+			SpecSSSP:       e.ssspValue,
+			SpecConnected:  e.connValue,
+			SpecComponents: e.componentsValue,
+			SpecClustering: e.clusteringValue,
+			SpecKHop:       e.khopValue,
+			SpecPageRank:   e.pagerankValue,
+		})
+	return e
 }
 
 // Cache returns the executor's result cache (nil when disabled) — the
@@ -328,39 +325,32 @@ func (e *Executor) Metrics() snapmgr.Metrics {
 	return m
 }
 
-// Counters returns a point-in-time view of executor activity.
-func (e *Executor) Counters() Counters { return e.adm.Counters() }
-
-// checkout admits the query (queue-or-shed), then hands out the current
-// snapshot view (in whatever storage layout the manager publishes), its
-// epoch lower bound, and — when caching is on — the snapshot's cache
-// generation. No scratch is taken here: a cache hit answers from the
-// generation without ever touching the scratch pool (the 0-alloc hit
-// path); only a miss checks a set out via scratch().
-func (e *Executor) checkout() (*snapmgr.View, uint64, *qcache.Gen, error) {
-	if err := e.adm.Acquire(); err != nil {
-		return nil, 0, nil, err
-	}
+// checkout is the pipeline's snapshot pin: the current view (in
+// whatever storage layout the manager publishes), its epoch lower
+// bound, and — when caching is on — the snapshot's cache generation.
+// No scratch is taken here: a cache hit answers from the generation
+// without ever touching the scratch pool (the 0-alloc hit path); only
+// a miss checks a set out via scratch().
+func (e *Executor) checkout() (*snapmgr.View, uint64, *qcache.Gen) {
 	// Epoch first, then the view: the snapshot served is at least this
 	// fresh (publication stores the view before bumping the epoch).
 	epoch := e.mgr.Epoch()
 	v := e.mgr.View()
-	return v, epoch, e.cache.ForView(v, epoch), nil
+	return v, epoch, e.cache.ForView(v, epoch)
 }
 
 // scratch checks a set out of the pool. Callers must hold an admission
 // slot: scratch objects are only ever created while holding one and the
 // free list is slot-capacity sized, so at most MaxConcurrent sets exist
-// and unscratch never drops one.
-func (e *Executor) scratch(epoch uint64) *scratchSet {
-	var s *scratchSet
+// and unscratch never drops one. Kernel scratches revalidate themselves
+// by graph shape, so a set moves between snapshots untouched.
+func (e *Executor) scratch() *scratchSet {
 	select {
-	case s = <-e.free:
+	case s := <-e.free:
+		return s
 	default:
-		s = newScratchSet()
+		return newScratchSet()
 	}
-	s.revalidate(epoch)
-	return s
 }
 
 // unscratch returns a set to the pool. Runs before the caller's
@@ -395,30 +385,26 @@ type BFSReply struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
-// BFS runs a breadth-first search from src over the current snapshot,
-// whatever its storage layout: reordered views translate src through
+// BFS runs a breadth-first search from src on any engine. On the
+// single-snapshot engine it traverses the current snapshot, whatever
+// its storage layout: reordered views translate src through
 // the held permutation, compressed views traverse by streaming decode
 // (traversal.RunStream). The reply's aggregates are id-invariant, so
 // every layout answers bit-identically. With caching on, a repeat src
 // against the same published snapshot is served from the generation
 // without touching the scratch pool, and concurrent identical misses
 // coalesce onto one kernel execution.
-func (e *Executor) BFS(src uint32) (BFSReply, error) {
-	a := Args{A: uint64(src)}
-	r, err := e.Query(SpecBFS, a)
-	if err != nil {
-		return BFSReply{}, err
-	}
-	return BFSReplyFrom(a, r), nil
+func BFS(eng Engine, src uint32) (BFSReply, error) {
+	return query(eng, SpecBFS, Args{A: uint64(src)}, BFSReplyFrom)
 }
 
 // bfsValue executes the BFS kernel against the pinned view. keep copies
 // the level array out of the pooled scratch into an immutable slice for
 // the cache; the uncached path skips the copy and stays allocation-free.
-func (e *Executor) bfsValue(v *snapmgr.View, epoch uint64, src uint32, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+func (e *Executor) bfsValue(v *snapmgr.View, a Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
-	s.src[0] = translate(v, src)
+	s.src[0] = translate(v, uint32(a.A))
 	opt := traversal.Options{Workers: e.cfg.Workers, Strategy: e.strategy()}
 	if v.C != nil {
 		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
@@ -429,7 +415,7 @@ func (e *Executor) bfsValue(v *snapmgr.View, epoch uint64, src uint32, keep bool
 	if keep {
 		val.Levels = append([]int32(nil), s.res.Level...)
 	}
-	return val
+	return val, nil
 }
 
 // SSSPReply summarizes one delta-stepping shortest-paths query.
@@ -443,31 +429,28 @@ type SSSPReply struct {
 }
 
 // SSSP runs delta-stepping shortest paths from src with the arc time
-// labels as weights (delta <= 0 picks the heuristic bucket width).
+// labels as weights (delta <= 0 picks the heuristic bucket width) on
+// any engine; the fleet runs it sharded.
 //
-// Every pooled slot reads the snapshot's one shared weighted view
-// (snapmgr.View.Weighted), which the first SSSP miss against the
-// snapshot builds in O(m); later misses pay only the run. A request
-// whose delta differs from the view's heuristic one re-splits the
-// shared weight-sorted spans into a slot-local light/heavy boundary —
-// one binary search per vertex, no rebuild.
+// On the single-snapshot engine every pooled slot reads the snapshot's
+// one shared weighted view (snapmgr.View.Weighted), which the first
+// SSSP miss against the snapshot builds in O(m); later misses pay only
+// the run. A request whose delta differs from the view's heuristic one
+// re-splits the shared weight-sorted spans into a slot-local
+// light/heavy boundary — one binary search per vertex, no rebuild.
 // Under LayoutCompressed the query runs the streaming Bellman-Ford
 // kernel (sssp.RunStream) instead of delta-stepping — distances are
 // identical; delta is ignored there (the stream kernel has no buckets).
-func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
-	a := Args{A: uint64(src), B: uint64(delta)}
-	r, err := e.Query(SpecSSSP, a)
-	if err != nil {
-		return SSSPReply{}, err
-	}
-	return SSSPReplyFrom(a, r), nil
+func SSSP(eng Engine, src uint32, delta int64) (SSSPReply, error) {
+	return query(eng, SpecSSSP, Args{A: uint64(src), B: uint64(delta)}, SSSPReplyFrom)
 }
 
 // ssspValue executes the shortest-paths kernel against the pinned view;
 // keep copies the distance array out for the cache.
-func (e *Executor) ssspValue(v *snapmgr.View, epoch uint64, src uint32, delta int64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+func (e *Executor) ssspValue(v *snapmgr.View, a Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
+	src := uint32(a.A)
 	var dist []int64
 	if v.C != nil {
 		if s.sspStream == nil {
@@ -476,7 +459,7 @@ func (e *Executor) ssspValue(v *snapmgr.View, epoch uint64, src uint32, delta in
 		dist = sssp.RunStream(v.C, edge.ID(translate(v, src)), e.cfg.Workers, sssp.LabelWeights, s.sspStream)
 	} else {
 		dist = sssp.RunView(v.Weighted(e.cfg.Workers), edge.ID(translate(v, src)),
-			sssp.Options{Workers: e.cfg.Workers, Delta: delta, Scratch: s.ssp})
+			sssp.Options{Workers: e.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
 	}
 	var val qcache.Value
 	for _, d := range dist {
@@ -490,7 +473,7 @@ func (e *Executor) ssspValue(v *snapmgr.View, epoch uint64, src uint32, delta in
 	if keep {
 		val.Dist = append([]int64(nil), dist...)
 	}
-	return val
+	return val, nil
 }
 
 // ConnReply answers one st-connectivity query.
@@ -510,39 +493,39 @@ type ConnReply struct {
 }
 
 // Connected answers st-connectivity by an early-exiting traversal from
-// u: the engine's level-end hook stops as soon as v settles, so the
-// remaining levels' arcs are never inspected.
-func (e *Executor) Connected(u, v uint32) (ConnReply, error) {
-	a := Args{A: uint64(u), B: uint64(v)}
-	r, err := e.Query(SpecConnected, a)
-	if err != nil {
-		return ConnReply{}, err
-	}
-	return ConnReplyFrom(a, r), nil
+// u on any engine: the level-end hook stops as soon as v settles, so
+// the remaining levels' arcs are never inspected.
+func Connected(eng Engine, u, v uint32) (ConnReply, error) {
+	return query(eng, SpecConnected, Args{A: uint64(u), B: uint64(v)}, ConnReplyFrom)
 }
 
 // ConnectedLive answers st-connectivity from the dynamic forest the
-// ingest path maintains — no snapshot wait, hop count unavailable.
-// ErrUnsupported until EnableLive.
-func (e *Executor) ConnectedLive(u, v uint32) (ConnReply, error) {
-	a := Args{A: uint64(u), B: uint64(v), Live: true}
-	r, err := e.Query(SpecConnected, a)
-	if err != nil {
-		return ConnReply{}, err
-	}
-	return ConnReplyFrom(a, r), nil
+// engine's ingest path maintains (per-shard forests joined by a merged
+// union-find on the fleet) — no snapshot wait, hop count unavailable.
+// ErrUnsupported until the engine's EnableLive.
+func ConnectedLive(eng Engine, u, v uint32) (ConnReply, error) {
+	return query(eng, SpecConnected, Args{A: uint64(u), B: uint64(v), Live: true}, ConnReplyFrom)
 }
 
-// connValue executes the early-exiting st-connectivity traversal
-// against the pinned view. The verdict is two scalars — it is cached
-// whole (no payload copy to skip).
-func (e *Executor) connValue(view *snapmgr.View, epoch uint64, u, v uint32) qcache.Value {
-	s := e.scratch(epoch)
+// connValue answers st-connectivity: from the live update-stream forest
+// when a.Live (no snapshot wait, hop count unavailable), else by the
+// early-exiting traversal against the pinned view. The verdict is two
+// scalars — it is cached whole (no payload copy to skip).
+func (e *Executor) connValue(view *snapmgr.View, a Args, keep bool) (qcache.Value, error) {
+	if a.Live {
+		if e.live == nil {
+			return qcache.Value{}, ErrUnsupported
+		}
+		// Hops is -1 on the live path: the spanning forest proves
+		// connectivity but its tree paths are not shortest paths.
+		return qcache.Value{Flag: e.live.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
+	}
+	s := e.scratch()
 	defer e.unscratch(s)
 	// The whole query runs in layout space: source, early-exit target,
 	// and the settled level read back. Hop counts are id-invariant.
-	s.src[0] = translate(view, u)
-	s.connTarget = translate(view, v)
+	s.src[0] = translate(view, uint32(a.A))
+	s.connTarget = translate(view, uint32(a.B))
 	opt := traversal.Options{
 		Workers:  e.cfg.Workers,
 		Strategy: e.strategy(),
@@ -554,9 +537,9 @@ func (e *Executor) connValue(view *snapmgr.View, epoch uint64, u, v uint32) qcac
 		traversal.Run(view.G, s.src[:1], opt, s.trav, &s.res)
 	}
 	if lvl := s.res.Level[s.connTarget]; lvl != traversal.NotVisited {
-		return qcache.Value{Flag: true, N1: int64(lvl)}
+		return qcache.Value{Flag: true, N1: int64(lvl)}, nil
 	}
-	return qcache.Value{N1: -1}
+	return qcache.Value{N1: -1}, nil
 }
 
 // ComponentsReply summarizes the component structure.
@@ -566,23 +549,22 @@ type ComponentsReply struct {
 	Epoch       uint64 `json:"epoch"`
 }
 
-// Components labels weakly-connected components over the current
-// snapshot. The label array and its census live in the pooled scratch
+// Components labels weakly-connected components on any engine (the
+// fleet merges labels across shards). On the single-snapshot engine the
+// label array and its census live in the pooled scratch
 // (cc.ComponentsInto / cc.CensusInto), so the steady state allocates
 // nothing per request at the serving config (Workers = 1; the parallel
 // census path still builds per-worker partial counts).
-func (e *Executor) Components() (ComponentsReply, error) {
-	r, err := e.Query(SpecComponents, Args{})
-	if err != nil {
-		return ComponentsReply{}, err
-	}
-	return ComponentsReplyFrom(r), nil
+func Components(eng Engine) (ComponentsReply, error) {
+	return query(eng, SpecComponents, Args{}, func(_ Args, r Result) ComponentsReply {
+		return ComponentsReplyFrom(r)
+	})
 }
 
 // componentsValue executes the component labeling against the pinned
 // view; keep copies the label array out for the cache.
-func (e *Executor) componentsValue(v *snapmgr.View, epoch uint64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
+func (e *Executor) componentsValue(v *snapmgr.View, _ Args, keep bool) (qcache.Value, error) {
+	s := e.scratch()
 	defer e.unscratch(s)
 	if v.C != nil {
 		s.comp, s.queue = traversal.StreamComponentsInto(v.C, s.comp, s.queue)
@@ -597,7 +579,7 @@ func (e *Executor) componentsValue(v *snapmgr.View, epoch uint64, keep bool) qca
 	if keep {
 		val.Labels = append([]uint32(nil), s.comp...)
 	}
-	return val
+	return val, nil
 }
 
 // StatsReply summarizes the served snapshot and the serving state,

@@ -37,7 +37,7 @@ func TestQueriesMatchKernels(t *testing.T) {
 
 	for _, src := range []uint32{0, 3, 101, 511} {
 		want := traversal.BFS(1, g, src)
-		got, err := ex.BFS(src)
+		got, err := BFS(ex, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestQueriesMatchKernels(t *testing.T) {
 				}
 			}
 		}
-		sp, err := ex.SSSP(src, 0)
+		sp, err := SSSP(ex, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestQueriesMatchKernels(t *testing.T) {
 
 	for _, q := range [][2]uint32{{0, 0}, {1, 2}, {5, 200}, {17, 400}} {
 		wantConn, wantHops := traversal.STConnected(1, g, q[0], q[1])
-		got, err := ex.Connected(q[0], q[1])
+		got, err := Connected(ex, q[0], q[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestQueriesMatchKernels(t *testing.T) {
 
 	comp := cc.Components(1, g)
 	_, wantLargest := cc.Largest(1, comp)
-	cr, err := ex.Components()
+	cr, err := Components(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestQueriesMatchKernels(t *testing.T) {
 func TestBadVertex(t *testing.T) {
 	mgr, _ := newManager(t, 8, 3)
 	ex := New(mgr, Config{Undirected: true})
-	if _, err := ex.BFS(1 << 20); !errors.Is(err, ErrBadVertex) {
+	if _, err := BFS(ex, 1<<20); !errors.Is(err, ErrBadVertex) {
 		t.Fatalf("BFS out of range: err = %v, want ErrBadVertex", err)
 	}
-	if _, err := ex.SSSP(1<<20, 0); !errors.Is(err, ErrBadVertex) {
+	if _, err := SSSP(ex, 1<<20, 0); !errors.Is(err, ErrBadVertex) {
 		t.Fatalf("SSSP out of range: err = %v, want ErrBadVertex", err)
 	}
-	if _, err := ex.Connected(0, 1<<20); !errors.Is(err, ErrBadVertex) {
+	if _, err := Connected(ex, 0, 1<<20); !errors.Is(err, ErrBadVertex) {
 		t.Fatalf("Connected out of range: err = %v, want ErrBadVertex", err)
 	}
 	c := ex.Counters()
@@ -123,7 +123,7 @@ func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	// One waiter is admitted to the queue.
 	done := make(chan error, 2)
 	go func() {
-		_, err := ex.BFS(0)
+		_, err := BFS(ex, 0)
 		done <- err
 	}()
 	// Wait until it is counted as waiting.
@@ -132,7 +132,7 @@ func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	}
 
 	// The queue (MaxQueue=1) is full: the next query must shed.
-	if _, err := ex.BFS(0); !errors.Is(err, ErrOverloaded) {
+	if _, err := BFS(ex, 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 	if c := ex.Counters(); c.Shed != 1 {
@@ -154,10 +154,10 @@ func TestScratchReuseAcrossEpochs(t *testing.T) {
 	mgr, edges := newManager(t, 9, 11)
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
 
-	if _, err := ex.BFS(0); err != nil {
+	if _, err := BFS(ex, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.SSSP(0, 0); err != nil {
+	if _, err := SSSP(ex, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,7 +178,7 @@ func TestScratchReuseAcrossEpochs(t *testing.T) {
 
 	g := mgr.Current()
 	want := traversal.BFS(1, g, 0)
-	got, err := ex.BFS(0)
+	got, err := BFS(ex, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestScratchReuseAcrossEpochs(t *testing.T) {
 			wantReached++
 		}
 	}
-	sp, err := ex.SSSP(0, 0)
+	sp, err := SSSP(ex, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +213,13 @@ func TestSteadyStateQueriesDoNotAllocateScratch(t *testing.T) {
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
 
 	warm := func() {
-		if _, err := ex.BFS(1); err != nil {
+		if _, err := BFS(ex, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.SSSP(1, 0); err != nil {
+		if _, err := SSSP(ex, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.Connected(1, 2); err != nil {
+		if _, err := Connected(ex, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,21 +227,21 @@ func TestSteadyStateQueriesDoNotAllocateScratch(t *testing.T) {
 	warm()
 
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.BFS(1); err != nil {
+		if _, err := BFS(ex, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("steady-state BFS query allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.SSSP(1, 0); err != nil {
+		if _, err := SSSP(ex, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
 		t.Fatalf("steady-state SSSP query allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.Connected(1, 2); err != nil {
+		if _, err := Connected(ex, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -273,11 +273,11 @@ func TestConcurrentQueriesUnderIngest(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = ex.BFS(src % 512)
+					_, err = BFS(ex, src%512)
 				case 1:
-					_, err = ex.SSSP(src%512, 0)
+					_, err = SSSP(ex, src%512, 0)
 				default:
-					_, err = ex.Connected(src%512, (src+7)%512)
+					_, err = Connected(ex, src%512, (src+7)%512)
 				}
 				if err != nil && !errors.Is(err, ErrOverloaded) {
 					t.Errorf("query failed: %v", err)
@@ -315,7 +315,7 @@ func TestComponentsPooledZeroAlloc(t *testing.T) {
 	g := mgr.Current()
 	comp := cc.Components(1, g)
 	_, wantLargest := cc.Largest(1, comp)
-	reply, err := ex.Components()
+	reply, err := Components(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +324,11 @@ func TestComponentsPooledZeroAlloc(t *testing.T) {
 			reply, cc.Count(comp), wantLargest)
 	}
 
-	if _, err := ex.Components(); err != nil {
+	if _, err := Components(ex); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.Components(); err != nil {
+		if _, err := Components(ex); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {

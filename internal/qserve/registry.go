@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"snapdyn/internal/qcache"
-	"snapdyn/internal/snapmgr"
 )
 
 // ErrUnsupported is returned when a query kind (or a mode of one, such
@@ -59,10 +58,9 @@ func (c CacheState) String() string {
 }
 
 // Result is the kind-agnostic outcome of one query: the kernel's value
-// aggregates, the epoch lower bound of the snapshot served (0 on the
-// live path), and the cache disposition. Each spec's encode function
-// (and the typed convenience methods) project it into the kind's wire
-// reply.
+// aggregates, the epoch lower bound of the snapshot served, and the
+// cache disposition. Each spec's encode function (and the typed
+// convenience functions) project it into the kind's wire reply.
 type Result struct {
 	Val   qcache.Value
 	Epoch uint64
@@ -70,10 +68,11 @@ type Result struct {
 }
 
 // Spec is one registered query kind: everything the generic serving
-// path needs to admit, validate, cache, execute, and encode it. A kind
-// registers exactly once (in this package's init); the executors, the
-// HTTP layer, and the cache all dispatch through the registry instead
-// of per-kind plumbing.
+// path needs to decode, validate, cache, and encode it. A kind
+// registers exactly once (in this package's init); the pipeline, the
+// HTTP layer, the cache, and trace replay all dispatch through the
+// registry instead of per-kind plumbing. Each engine's kernel table is
+// indexed by the spec's ID.
 type Spec struct {
 	id   int
 	name string
@@ -90,17 +89,11 @@ type Spec struct {
 	// uncacheable (live-path queries). The Kind field always comes from
 	// the spec's registered kind, so keys cannot collide across kinds.
 	key func(a Args) (qcache.Key, bool)
-	// decode parses HTTP query parameters into Args.
+	// decode parses HTTP query parameters (or a trace line's query
+	// string) into Args.
 	decode func(q url.Values) (Args, error)
-	// record projects Args into the query-trace tuple.
-	record func(a Args) (u, v uint32, delta int64)
 	// encode builds the kind's JSON wire reply.
 	encode func(a Args, r Result) any
-	// run executes the kernel against the pinned single-snapshot view;
-	// keep=true copies payload slices out of pooled scratch for the
-	// cache. The sharded fleet registers its kernels separately
-	// (internal/shard), keyed by the spec's dense id.
-	run func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error)
 }
 
 // Name is the kind's wire name: the <kind> in /v1/query/<kind> and the
@@ -108,7 +101,7 @@ type Spec struct {
 func (sp *Spec) Name() string { return sp.name }
 
 // ID is the kind's dense registration index, stable for the process
-// lifetime — the fleet executor's kernel table is indexed by it.
+// lifetime — every engine's kernel table is indexed by it.
 func (sp *Spec) ID() int { return sp.id }
 
 // CacheKind is the kind's reserved qcache key space.
@@ -142,9 +135,6 @@ func (sp *Spec) CacheKey(a Args) (qcache.Key, bool) { return sp.key(a) }
 // Decode parses URL query parameters into the kind's Args.
 func (sp *Spec) Decode(q url.Values) (Args, error) { return sp.decode(q) }
 
-// Record projects Args into the query-trace (u, v, delta) tuple.
-func (sp *Spec) Record(a Args) (u, v uint32, delta int64) { return sp.record(a) }
-
 // Encode builds the kind's JSON reply from a Result.
 func (sp *Spec) Encode(a Args, r Result) any { return sp.encode(a, r) }
 
@@ -175,23 +165,18 @@ func Specs() []*Spec { return specs }
 // LookupSpec resolves a kind by wire name; nil when unknown.
 func LookupSpec(name string) *Spec { return byName[name] }
 
-// NumSpecs returns the number of registered kinds, for sizing kernel
-// tables indexed by Spec.ID.
+// NumSpecs returns the number of registered kinds.
 func NumSpecs() int { return len(specs) }
 
 // The registered query kinds. Registration happens once, here, in a
-// fixed order; everything else (executors, HTTP routes, fleet kernel
-// table, trace replay) is derived from this list.
+// fixed order; everything else (kernel tables, HTTP routes, trace
+// replay) is derived from this list.
 var (
 	SpecBFS = &Spec{
 		name: "bfs", kind: qcache.KindBFS, vertexA: true,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindBFS, A: a.A}, true },
 		decode: decodeSrc,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, 0 },
 		encode: func(a Args, r Result) any { return BFSReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.bfsValue(v, epoch, uint32(a.A), keep), nil
-		},
 	}
 
 	SpecSSSP = &Spec{
@@ -200,11 +185,7 @@ var (
 			return qcache.Key{Kind: qcache.KindSSSP, A: a.A, B: a.B}, true
 		},
 		decode: decodeSSSP,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, int64(a.B) },
 		encode: func(a Args, r Result) any { return SSSPReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.ssspValue(v, epoch, uint32(a.A), int64(a.B), keep), nil
-		},
 	}
 
 	SpecConnected = &Spec{
@@ -224,31 +205,21 @@ var (
 			return qcache.Key{Kind: qcache.KindConnected, A: a.A, B: a.B}, !a.Live
 		},
 		decode: decodeConnected,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), uint32(a.B), 0 },
 		encode: func(a Args, r Result) any { return ConnReplyFrom(a, r) },
-		run:    runConnected,
 	}
 
 	SpecComponents = &Spec{
 		name: "components", kind: qcache.KindComponents,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindComponents}, true },
 		decode: decodeNone,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return ComponentsReplyFrom(r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.componentsValue(v, epoch, keep), nil
-		},
 	}
 
 	SpecClustering = &Spec{
 		name: "clustering", kind: qcache.KindClustering,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindClustering}, true },
 		decode: decodeNone,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return ClusteringReplyFrom(r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.clusteringValue(v, epoch, keep), nil
-		},
 	}
 
 	SpecKHop = &Spec{
@@ -257,11 +228,7 @@ var (
 			return qcache.Key{Kind: qcache.KindKHop, A: a.A, B: a.B}, true
 		},
 		decode: decodeKHop,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, int64(a.B) },
 		encode: func(a Args, r Result) any { return KHopReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.khopValue(v, epoch, uint32(a.A), int32(a.B), keep), nil
-		},
 	}
 
 	SpecPageRank = &Spec{
@@ -270,11 +237,7 @@ var (
 			return qcache.Key{Kind: qcache.KindPageRank, A: a.A}, true
 		},
 		decode: decodePageRank,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return PageRankReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.pagerankValue(v, epoch, math.Float64frombits(a.A), keep), nil
-		},
 	}
 )
 
@@ -285,80 +248,6 @@ func init() {
 	} {
 		register(sp)
 	}
-}
-
-// Query runs one registered kind against the current snapshot (or the
-// live index, for live-path arguments) with the shared admission,
-// validation, and caching flow every kind rides:
-//
-//	admit (queue-or-shed) → pin snapshot → validate vertex operands →
-//	quick short-circuit → cache lookup → kernel (coalesced on miss).
-//
-// The uncacheable and cache-disabled paths call the kernel directly —
-// no singleflight closure — preserving the allocation-free steady
-// state; only a cacheable miss pays the closure and the payload copy.
-func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
-	v, epoch, gen, err := e.checkout()
-	if err != nil {
-		return Result{}, err
-	}
-	defer e.adm.Release()
-	if err := sp.Validate(a, v.NumVertices()); err != nil {
-		return Result{}, err
-	}
-	res := Result{Epoch: epoch}
-	if val, ok := sp.Quick(a); ok {
-		res.Val = val
-		return res, nil
-	}
-	k, cacheable := sp.key(a)
-	if !cacheable {
-		if a.Live {
-			res.Cache = CacheLive
-		}
-		val, err := sp.run(e, v, epoch, a, false)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Val = val
-		return res, nil
-	}
-	if val, ok := gen.Lookup(k); ok {
-		res.Val, res.Cache = val, CacheHit
-		return res, nil
-	}
-	if gen == nil {
-		val, err := sp.run(e, v, epoch, a, false)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Val = val
-		return res, nil
-	}
-	val, err := gen.Do(k, func() (qcache.Value, error) {
-		return sp.run(e, v, epoch, a, true)
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res.Val, res.Cache = val, CacheMiss
-	return res, nil
-}
-
-// runConnected answers st-connectivity: from the live update-stream
-// forest when a.Live (no snapshot wait, hop count unavailable), else by
-// the early-exiting snapshot traversal.
-func runConnected(e *Executor, view *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-	if a.Live {
-		l := e.live
-		if l == nil {
-			return qcache.Value{}, ErrUnsupported
-		}
-		// Hops is -1 on the live path: the spanning forest proves
-		// connectivity but its tree paths are not shortest paths.
-		return qcache.Value{Flag: l.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
-	}
-	return e.connValue(view, epoch, uint32(a.A), uint32(a.B)), nil
 }
 
 // --- decode helpers (URL query parameters → Args) ---
@@ -453,13 +342,23 @@ func formUint32(q url.Values, name string) (uint32, error) {
 	return uint32(u), nil
 }
 
+// query runs one kind on eng and projects the Result into the kind's
+// typed reply — the body of every typed convenience function.
+func query[R any](eng Engine, sp *Spec, a Args, reply func(Args, Result) R) (R, error) {
+	r, err := eng.Query(sp, a)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return reply(a, r), nil
+}
+
 // The XReplyFrom builders project a kind-agnostic Result into the
-// kind's typed wire reply. The typed convenience methods on both
-// executors and the HTTP encode functions all go through them, so the
-// wire format is defined in exactly one place; they are exported so
-// the fleet executor's typed methods can build replies without the
-// interface boxing Spec.Encode implies (which would cost an allocation
-// on the cache-hit path).
+// kind's typed wire reply. The typed convenience functions and the
+// HTTP encode functions all go through them, so the wire format is
+// defined in exactly one place; the typed functions call them directly,
+// without the interface boxing Spec.Encode implies (which would cost an
+// allocation on the cache-hit path).
 
 // BFSReplyFrom builds the BFS wire reply.
 func BFSReplyFrom(a Args, r Result) BFSReply {

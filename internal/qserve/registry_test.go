@@ -1,6 +1,9 @@
 package qserve
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"net/url"
 	"testing"
 
@@ -114,7 +117,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	{
 		a := Args{A: 3}
 		r, err := ex.Query(SpecBFS, a)
-		typed, err2 := ex.BFS(3)
+		typed, err2 := BFS(ex, 3)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -125,7 +128,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	{
 		a := Args{A: 3, B: 0}
 		r, err := ex.Query(SpecSSSP, a)
-		typed, err2 := ex.SSSP(3, 0)
+		typed, err2 := SSSP(ex, 3, 0)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -136,7 +139,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	{
 		a := Args{A: 1, B: 2}
 		r, err := ex.Query(SpecConnected, a)
-		typed, err2 := ex.Connected(1, 2)
+		typed, err2 := Connected(ex, 1, 2)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -146,7 +149,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	}
 	{
 		r, err := ex.Query(SpecComponents, Args{})
-		typed, err2 := ex.Components()
+		typed, err2 := Components(ex)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -156,7 +159,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	}
 	{
 		r, err := ex.Query(SpecClustering, Args{})
-		typed, err2 := ex.Clustering()
+		typed, err2 := Clustering(ex)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -167,7 +170,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	{
 		a := Args{A: 3, B: 2}
 		r, err := ex.Query(SpecKHop, a)
-		typed, err2 := ex.KHop(3, 2)
+		typed, err2 := KHop(ex, 3, 2)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -178,7 +181,7 @@ func TestGenericQueryMatchesTyped(t *testing.T) {
 	{
 		a := PageRankArgs(1e-6)
 		r, err := ex.Query(SpecPageRank, a)
-		typed, err2 := ex.PageRank(1e-6)
+		typed, err2 := PageRank(ex, 1e-6)
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
@@ -242,4 +245,50 @@ func TestDecodeRejectsBadParams(t *testing.T) {
 	if got := PageRankTol(a); got != minPageRankTol {
 		t.Fatalf("sub-floor tol = %v, want floor %v", got, minPageRankTol)
 	}
+}
+
+// FuzzDecode drives arbitrary query strings through every registered
+// decoder, parsed the way the HTTP layer parses them (a malformed
+// escape still yields the values before it). A decoder must never
+// panic; it either rejects with a bad-request error or returns Args
+// inside the kind's documented ranges, which the kind's encoder then
+// renders.
+func FuzzDecode(f *testing.F) {
+	for _, s := range []string{
+		"", "src=3", "delta=25&src=7", "live=1&u=1&v=9", "u=1&v=2&live=maybe",
+		"k=2&src=5", "k=99999999999&src=1", "tol=0.0001", "tol=1e-300", "tol=NaN",
+		"tol=-1", "src=%zz", "src=1&src=2", "src=4294967296", "delta=-9223372036854775808&src=0",
+		"minEpoch=3&src=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw)
+		for _, sp := range Specs() {
+			a, err := sp.Decode(q)
+			if err != nil {
+				var bad errBadRequest
+				if !errors.As(err, &bad) {
+					t.Fatalf("%s?%q: error %v is not a bad-request error", sp.Name(), raw, err)
+				}
+				continue
+			}
+			if (sp.vertexA && a.A > math.MaxUint32) || (sp.vertexB && a.B > math.MaxUint32) {
+				t.Fatalf("%s?%q: vertex operand out of uint32 range: %+v", sp.Name(), raw, a)
+			}
+			switch sp {
+			case SpecKHop:
+				if a.B > maxKHop {
+					t.Fatalf("khop?%q: k = %d above the cap", raw, a.B)
+				}
+			case SpecPageRank:
+				if tol := PageRankTol(a); math.IsNaN(tol) || math.IsInf(tol, 0) || tol < minPageRankTol {
+					t.Fatalf("pagerank?%q: tolerance %v outside [floor, +Inf)", raw, tol)
+				}
+			}
+			if _, err := json.Marshal(sp.Encode(a, Result{})); err != nil {
+				t.Fatalf("%s?%q: reply does not encode: %v", sp.Name(), raw, err)
+			}
+		}
+	})
 }

@@ -65,7 +65,7 @@ func TestSSSPSharedViewConcurrentFirstUse(t *testing.T) {
 			sc := sssp.NewScratch()
 			for i, src := range srcs {
 				if g%2 == 0 {
-					r, err := ex.SSSP(src, delta)
+					r, err := SSSP(ex, src, delta)
 					if err != nil {
 						t.Errorf("SSSP(%d, %d): %v", src, delta, err)
 						return
@@ -115,12 +115,12 @@ func TestSSSPNonDefaultDeltaZeroAlloc(t *testing.T) {
 	mgr, _ := newManager(t, 10, 31)
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
 	for i := 0; i < 2; i++ {
-		if _, err := ex.SSSP(1, 7); err != nil {
+		if _, err := SSSP(ex, 1, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ex.SSSP(1, 7); err != nil {
+		if _, err := SSSP(ex, 1, 7); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -129,7 +129,7 @@ func TestSSSPNonDefaultDeltaZeroAlloc(t *testing.T) {
 	delta := int64(7)
 	if n := testing.AllocsPerRun(20, func() {
 		delta = 20 - delta // alternate 7 and 13
-		if _, err := ex.SSSP(2, delta); err != nil {
+		if _, err := SSSP(ex, 2, delta); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"snapdyn/internal/cluster"
-	"snapdyn/internal/csr"
 	"snapdyn/internal/par"
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/qserve"
@@ -18,7 +17,8 @@ import (
 // original-id order (shard views are unpermuted, so identity order),
 // which is the same summation order the single-shard engine uses —
 // the float average is bit-identical across engines.
-func (e *Executor) clusteringValue(views []*csr.Graph, keep bool) qcache.Value {
+func (e *Executor) clusteringValue(p *pinSet, _ qserve.Args, keep bool) (qcache.Value, error) {
+	views := p.views
 	s := e.kscratch()
 	defer e.unscratch(s)
 	if s.clus == nil {
@@ -30,21 +30,21 @@ func (e *Executor) clusteringValue(views []*csr.Graph, keep bool) qcache.Value {
 	if keep {
 		val.Dist = append([]int64(nil), s.clus.Triangles()...)
 	}
-	return val
+	return val, nil
 }
 
 func identityID(u uint32) uint32 { return u }
 
 // khopValue runs the depth-limited scatter-gather BFS.
-func (e *Executor) khopValue(views []*csr.Graph, src uint32, k int32, keep bool) qcache.Value {
+func (e *Executor) khopValue(p *pinSet, a qserve.Args, keep bool) (qcache.Value, error) {
 	s := e.kscratch()
 	defer e.unscratch(s)
-	reached := s.sc.KHop(views, src, k)
+	reached := s.sc.KHop(p.views, uint32(a.A), int32(a.B))
 	val := qcache.Value{N1: int64(reached)}
 	if keep {
 		val.Levels = append([]int32(nil), s.sc.level...)
 	}
-	return val
+	return val, nil
 }
 
 // prFleetMaxIters hard-caps the power-iteration rounds, mirroring the
@@ -61,7 +61,8 @@ const prFleetMaxIters = 1000
 // two engines agree to within a tolerance-proportional error (the
 // documented PageRank exception to bit-identity; iteration counts are
 // not comparable across engines either).
-func (e *Executor) pagerankValue(views []*csr.Graph, tol float64, keep bool) qcache.Value {
+func (e *Executor) pagerankValue(pin *pinSet, args qserve.Args, keep bool) (qcache.Value, error) {
+	views, tol := pin.views, qserve.PageRankTol(args)
 	s := e.kscratch()
 	defer e.unscratch(s)
 	p := len(views)
@@ -139,7 +140,7 @@ func (e *Executor) pagerankValue(views []*csr.Graph, tol float64, keep bool) qca
 	if keep {
 		val.Ranks = append([]float64(nil), rank...)
 	}
-	return val
+	return val, nil
 }
 
 // addFloatBits adds x to the float64 stored as bits at p (CAS loop) —

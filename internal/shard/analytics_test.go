@@ -37,11 +37,11 @@ func TestFleetAnalyticsParity(t *testing.T) {
 
 	const tol = 1e-9
 	prBound := 10 * float64(n) * tol / (1 - qserve.PageRankDamping)
-	wantCl, err := single.Clustering()
+	wantCl, err := qserve.Clustering(single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPR, err := single.PageRank(tol)
+	wantPR, err := qserve.PageRank(single, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFleetAnalyticsParity(t *testing.T) {
 		f := testFleet(n, p, ups)
 		ex := NewExecutor(f, qserve.Config{Undirected: true})
 
-		cl, err := ex.Clustering()
+		cl, err := qserve.Clustering(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,11 @@ func TestFleetAnalyticsParity(t *testing.T) {
 
 		for _, src := range []uint32{0, 7, uint32(n / 2), uint32(n - 1)} {
 			for _, k := range []uint32{0, 1, 2, 5, 1 << 29} {
-				want, err := single.KHop(src, k)
+				want, err := qserve.KHop(single, src, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ex.KHop(src, k)
+				got, err := qserve.KHop(ex, src, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func TestFleetAnalyticsParity(t *testing.T) {
 			}
 		}
 
-		pr, err := ex.PageRank(tol)
+		pr, err := qserve.PageRank(ex, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +97,13 @@ func TestFleetAnalyticsCacheHitZeroAlloc(t *testing.T) {
 	ex := NewExecutor(f, qserve.Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 64 << 20})
 
 	warm := func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := qserve.Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := qserve.KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.PageRank(0); err != nil {
+		if _, err := qserve.PageRank(ex, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,21 +114,21 @@ func TestFleetAnalyticsCacheHitZeroAlloc(t *testing.T) {
 	}
 
 	if a := testing.AllocsPerRun(30, func() {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := qserve.Clustering(ex); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 0 {
 		t.Fatalf("fleet cache-hit clustering allocates %.1f objects/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(30, func() {
-		if _, err := ex.KHop(1, 3); err != nil {
+		if _, err := qserve.KHop(ex, 1, 3); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 0 {
 		t.Fatalf("fleet cache-hit khop allocates %.1f objects/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(30, func() {
-		if _, err := ex.PageRank(0); err != nil {
+		if _, err := qserve.PageRank(ex, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 0 {

@@ -57,7 +57,7 @@ func TestFleetLiveQuiesce(t *testing.T) {
 			}
 
 			f.Refresh(2)
-			snap, err := ex.Components()
+			snap, err := qserve.Components(ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,11 +67,11 @@ func TestFleetLiveQuiesce(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				u, v := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-				lr, err := ex.ConnectedLive(u, v)
+				lr, err := qserve.ConnectedLive(ex, u, v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sr, err := ex.Connected(u, v)
+				sr, err := qserve.Connected(ex, u, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,15 +98,15 @@ func TestFleetLiveUnsupportedUntilEnabled(t *testing.T) {
 	f := testFleet(n, 2, stream.Mirror(ups))
 	ex := NewExecutor(f, qserve.Config{Undirected: true})
 
-	if _, err := ex.ConnectedLive(1, 2); !errors.Is(err, qserve.ErrUnsupported) {
+	if _, err := qserve.ConnectedLive(ex, 1, 2); !errors.Is(err, qserve.ErrUnsupported) {
 		t.Fatalf("fleet ConnectedLive before EnableLive: err = %v, want ErrUnsupported", err)
 	}
-	r, err := ex.ConnectedLive(5, 5)
+	r, err := qserve.ConnectedLive(ex, 5, 5)
 	if err != nil || !r.Connected || r.Hops != 0 {
 		t.Fatalf("reflexive live reply %+v, %v", r, err)
 	}
 	ex.EnableLive()
-	if _, err := ex.ConnectedLive(1, 2); err != nil {
+	if _, err := qserve.ConnectedLive(ex, 1, 2); err != nil {
 		t.Fatalf("fleet ConnectedLive after EnableLive: %v", err)
 	}
 }

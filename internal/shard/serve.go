@@ -27,9 +27,12 @@ import (
 // generation, while no-op refreshes (csr.Refresh republishing the
 // identical graph pointer shard-locally) keep it alive.
 type Executor struct {
+	// Pipeline serves Query and Counters over the pinned per-shard view
+	// set, with this executor's kernel table.
+	qserve.Pipeline[*pinSet]
+
 	fleet *Fleet
 	cfg   qserve.Config
-	adm   *qserve.Admission
 	free  chan *scratchSet
 	pins  chan *pinSet
 	cache *qcache.Cache // nil when Config.CacheBytes <= 0
@@ -78,21 +81,29 @@ type pinSet struct {
 }
 
 // NewExecutor returns a fleet executor. cfg.Workers is ignored: a
-// scatter-gather query's parallelism is the shard fan-out.
+// scatter-gather query's parallelism is the shard fan-out. Every
+// registered kind has a fleet kernel.
 func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
 	cfg = cfg.WithDefaults()
-	return &Executor{
+	e := &Executor{
 		fleet: f,
 		cfg:   cfg,
-		adm:   qserve.NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		free:  make(chan *scratchSet, cfg.MaxConcurrent),
 		pins:  make(chan *pinSet, cfg.MaxConcurrent),
 		cache: qcache.New(cfg.CacheBytes),
 	}
+	e.Pipeline = qserve.NewPipeline(qserve.NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue), f.NumVertices(),
+		e.checkout, e.unpin, map[*qserve.Spec]qserve.Kernel[*pinSet]{
+			qserve.SpecBFS:        e.bfsValue,
+			qserve.SpecSSSP:       e.ssspValue,
+			qserve.SpecConnected:  e.connValue,
+			qserve.SpecComponents: e.componentsValue,
+			qserve.SpecClustering: e.clusteringValue,
+			qserve.SpecKHop:       e.khopValue,
+			qserve.SpecPageRank:   e.pagerankValue,
+		})
+	return e
 }
-
-// Fleet returns the shard fleet the executor serves from.
-func (e *Executor) Fleet() *Fleet { return e.fleet }
 
 // Cache returns the executor's result cache (nil when disabled).
 func (e *Executor) Cache() *qcache.Cache { return e.cache }
@@ -145,19 +156,13 @@ func (e *Executor) Metrics() snapmgr.Metrics {
 	return m
 }
 
-// Counters returns a point-in-time view of executor activity.
-func (e *Executor) Counters() qserve.Counters { return e.adm.Counters() }
-
-// checkout admits the query, pins one snapshot per shard, and — when
-// caching is on — resolves the pinned set's cache generation. The
-// fleet epoch is read before pinning so the reported epoch is a lower
-// bound on the served snapshots' freshness. No kernel scratch is taken
-// here: a cache hit answers from the generation without touching the
-// arena pool.
-func (e *Executor) checkout() (*pinSet, uint64, *qcache.Gen, error) {
-	if err := e.adm.Acquire(); err != nil {
-		return nil, 0, nil, err
-	}
+// checkout is the pipeline's snapshot pin: one snapshot per shard and
+// — when caching is on — the pinned set's cache generation. The fleet
+// epoch is read before pinning so the reported epoch is a lower bound
+// on the served snapshots' freshness. No kernel scratch is taken here:
+// a cache hit answers from the generation without touching the arena
+// pool.
+func (e *Executor) checkout() (*pinSet, uint64, *qcache.Gen) {
 	var p *pinSet
 	select {
 	case p = <-e.pins:
@@ -174,14 +179,12 @@ func (e *Executor) checkout() (*pinSet, uint64, *qcache.Gen, error) {
 		}
 		gen = e.cache.ForViews(p.ids, epoch)
 	}
-	return p, epoch, gen, nil
+	return p, epoch, gen
 }
 
-// release returns the pin before freeing the slot.
-func (e *Executor) release(p *pinSet) {
-	e.pins <- p
-	e.adm.Release()
-}
+// unpin returns the pin to its pool; the pipeline calls it before
+// freeing the admission slot.
+func (e *Executor) unpin(p *pinSet) { e.pins <- p }
 
 // kscratch checks a kernel arena out of the pool; callers must hold an
 // admission slot, so at most MaxConcurrent arenas exist.
@@ -196,21 +199,21 @@ func (e *Executor) kscratch() *scratchSet {
 
 func (e *Executor) unscratch(s *scratchSet) { e.free <- s }
 
-func (e *Executor) bfsValue(views []*csr.Graph, src uint32, keep bool) qcache.Value {
+func (e *Executor) bfsValue(p *pinSet, a qserve.Args, keep bool) (qcache.Value, error) {
 	s := e.kscratch()
 	defer e.unscratch(s)
-	level, reached, depth := s.sc.BFS(views, src)
+	level, reached, depth := s.sc.BFS(p.views, uint32(a.A))
 	val := qcache.Value{N1: int64(reached), N2: int64(depth)}
 	if keep {
 		val.Levels = append([]int32(nil), level...)
 	}
-	return val
+	return val, nil
 }
 
-func (e *Executor) ssspValue(views []*csr.Graph, src uint32, delta int64, keep bool) qcache.Value {
+func (e *Executor) ssspValue(p *pinSet, a qserve.Args, keep bool) (qcache.Value, error) {
 	s := e.kscratch()
 	defer e.unscratch(s)
-	dist := s.sc.SSSP(views, src, sssp.LabelWeights, delta)
+	dist := s.sc.SSSP(p.views, uint32(a.A), sssp.LabelWeights, int64(a.B))
 	var val qcache.Value
 	for _, d := range dist {
 		if d != sssp.Inf {
@@ -223,29 +226,38 @@ func (e *Executor) ssspValue(views []*csr.Graph, src uint32, delta int64, keep b
 	if keep {
 		val.Dist = append([]int64(nil), dist...)
 	}
-	return val
+	return val, nil
 }
 
-func (e *Executor) connValue(views []*csr.Graph, u, v uint32) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
-	if hops, ok := s.sc.STConnected(views, u, v); ok {
-		return qcache.Value{Flag: true, N1: int64(hops)}
+// connValue answers st-connectivity: from the merged live forests when
+// a.Live (no snapshot involved, hop count unavailable), else by the
+// early-exiting scatter-gather traversal.
+func (e *Executor) connValue(p *pinSet, a qserve.Args, keep bool) (qcache.Value, error) {
+	if a.Live {
+		if e.live == nil {
+			return qcache.Value{}, qserve.ErrUnsupported
+		}
+		return qcache.Value{Flag: e.live.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
 	}
-	return qcache.Value{N1: -1}
-}
-
-func (e *Executor) componentsValue(views []*csr.Graph, keep bool) qcache.Value {
 	s := e.kscratch()
 	defer e.unscratch(s)
-	comp := s.sc.Components(views)
+	if hops, ok := s.sc.STConnected(p.views, uint32(a.A), uint32(a.B)); ok {
+		return qcache.Value{Flag: true, N1: int64(hops)}, nil
+	}
+	return qcache.Value{N1: -1}, nil
+}
+
+func (e *Executor) componentsValue(p *pinSet, _ qserve.Args, keep bool) (qcache.Value, error) {
+	s := e.kscratch()
+	defer e.unscratch(s)
+	comp := s.sc.Components(p.views)
 	s.sizes = cc.CensusInto(1, comp, s.sizes)
 	_, size := cc.LargestOf(1, s.sizes)
 	val := qcache.Value{N1: int64(cc.Count(comp)), N2: int64(size)}
 	if keep {
 		val.Labels = append([]uint32(nil), comp...)
 	}
-	return val
+	return val, nil
 }
 
 // Stats fans out over the shards, bypassing admission like the

@@ -199,8 +199,8 @@ func TestExecutorParity(t *testing.T) {
 	f := testFleet(n, 4, ups)
 	ex := NewExecutor(f, qserve.Config{})
 
-	sb, err1 := single.BFS(3)
-	fb, err2 := ex.BFS(3)
+	sb, err1 := qserve.BFS(single, 3)
+	fb, err2 := qserve.BFS(ex, 3)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -208,8 +208,8 @@ func TestExecutorParity(t *testing.T) {
 		t.Fatalf("BFS reply mismatch: single %+v fleet %+v", sb, fb)
 	}
 
-	ss, err1 := single.SSSP(3, 0)
-	fs, err2 := ex.SSSP(3, 0)
+	ss, err1 := qserve.SSSP(single, 3, 0)
+	fs, err2 := qserve.SSSP(ex, 3, 0)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -217,8 +217,8 @@ func TestExecutorParity(t *testing.T) {
 		t.Fatalf("SSSP reply mismatch: single %+v fleet %+v", ss, fs)
 	}
 
-	sco, err1 := single.Components()
-	fco, err2 := ex.Components()
+	sco, err1 := qserve.Components(single)
+	fco, err2 := qserve.Components(ex)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -231,7 +231,7 @@ func TestExecutorParity(t *testing.T) {
 		t.Fatalf("stats mismatch: single %+v fleet %+v", sst, fst)
 	}
 
-	if _, err := ex.BFS(uint32(n)); err != qserve.ErrBadVertex {
+	if _, err := qserve.BFS(ex, uint32(n)); err != qserve.ErrBadVertex {
 		t.Fatalf("out-of-range BFS err = %v, want ErrBadVertex", err)
 	}
 }
@@ -272,20 +272,20 @@ func TestShardHammer(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 30; k++ {
 				src := uint32((k*31 + i) % n)
-				if _, err := ex.BFS(src); err != nil && err != qserve.ErrOverloaded {
+				if _, err := qserve.BFS(ex, src); err != nil && err != qserve.ErrOverloaded {
 					t.Error(err)
 					return
 				}
-				if _, err := ex.SSSP(src, 0); err != nil && err != qserve.ErrOverloaded {
+				if _, err := qserve.SSSP(ex, src, 0); err != nil && err != qserve.ErrOverloaded {
 					t.Error(err)
 					return
 				}
-				if _, err := ex.Connected(src, uint32((k+i)%n)); err != nil && err != qserve.ErrOverloaded {
+				if _, err := qserve.Connected(ex, src, uint32((k+i)%n)); err != nil && err != qserve.ErrOverloaded {
 					t.Error(err)
 					return
 				}
 				if k%10 == 0 {
-					if _, err := ex.Components(); err != nil && err != qserve.ErrOverloaded {
+					if _, err := qserve.Components(ex); err != nil && err != qserve.ErrOverloaded {
 						t.Error(err)
 						return
 					}
@@ -345,11 +345,11 @@ func TestCachedExecutorParity(t *testing.T) {
 
 	check := func(src uint32) {
 		t.Helper()
-		wb, err1 := plain.BFS(src)
+		wb, err1 := qserve.BFS(plain, src)
 		var cb qserve.BFSReply
 		var err2 error
 		for i := 0; i < 2; i++ { // second round answers from the cache
-			cb, err2 = cached.BFS(src)
+			cb, err2 = qserve.BFS(cached, src)
 		}
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -357,10 +357,10 @@ func TestCachedExecutorParity(t *testing.T) {
 		if cb.Reached != wb.Reached || cb.Levels != wb.Levels {
 			t.Fatalf("cached BFS(%d) = %+v, uncached %+v", src, cb, wb)
 		}
-		ws, err1 := plain.SSSP(src, 0)
+		ws, err1 := qserve.SSSP(plain, src, 0)
 		var cs qserve.SSSPReply
 		for i := 0; i < 2; i++ {
-			cs, err2 = cached.SSSP(src, 0)
+			cs, err2 = qserve.SSSP(cached, src, 0)
 		}
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -368,10 +368,10 @@ func TestCachedExecutorParity(t *testing.T) {
 		if cs.Reached != ws.Reached || cs.MaxDist != ws.MaxDist {
 			t.Fatalf("cached SSSP(%d) = %+v, uncached %+v", src, cs, ws)
 		}
-		wc, err1 := plain.Connected(src, (src+3)%uint32(n))
+		wc, err1 := qserve.Connected(plain, src, (src+3)%uint32(n))
 		var cn qserve.ConnReply
 		for i := 0; i < 2; i++ {
-			cn, err2 = cached.Connected(src, (src+3)%uint32(n))
+			cn, err2 = qserve.Connected(cached, src, (src+3)%uint32(n))
 		}
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -394,7 +394,7 @@ func TestCachedExecutorParity(t *testing.T) {
 	// Hit path allocates nothing — the scatter-gather pin set is pooled
 	// and the cached value answers without touching the kernel arena.
 	if a := testing.AllocsPerRun(30, func() {
-		if _, err := cached.BFS(3); err != nil {
+		if _, err := qserve.BFS(cached, 3); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 0 {

@@ -5,18 +5,28 @@
 // deterministically seeded through internal/xrand so a benchmark run
 // is reproducible bit-for-bit from its seed.
 //
-// It also owns the query-trace wire format: a Recorder tees every
-// query a live snapserve receives into a JSONL trace file
-// (qserve.QueryRecorder), and ReadTrace + Apply replay a captured
-// trace against any qserve.Engine — the record/replay loop that makes
-// a production regression reproducible from its traffic.
+// It also owns the query-trace format. A trace is JSONL with one
+// request per line in wire form — the registered kind and the
+// request's URL query string without minEpoch:
+//
+//	{"kind":"sssp","query":"delta=25&src=7"}
+//	{"kind":"connected","query":"live=1&u=1&v=9"}
+//
+// A Recorder tees every query a live snapserve receives into a trace
+// (qserve.QueryRecorder). ReadTrace decodes each line once, through
+// qserve.LookupSpec and Spec.Decode, into the same Request the
+// synthetic Generator draws, and replay runs each Request with
+// Engine.Query — the record/replay loop that makes a production
+// regression reproducible from its traffic, for every registered kind.
 package workload
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/url"
 	"os"
 	"sort"
 	"sync"
@@ -25,14 +35,17 @@ import (
 	"snapdyn/internal/xrand"
 )
 
-// Op is one query in wire form — one JSONL line of a trace.
-type Op struct {
-	Kind string `json:"kind"` // "bfs", "sssp", "connected", "components"
-	U    uint32 `json:"u,omitempty"`
-	V    uint32 `json:"v,omitempty"`
-	// Delta is the SSSP bucket width (0 = the engine's heuristic
-	// default — the serving-friendly choice, see qserve.SSSP).
-	Delta int64 `json:"delta,omitempty"`
+// Request is one decoded query: a registered kind and its arguments,
+// ready for Engine.Query.
+type Request struct {
+	Spec *qserve.Spec
+	Args qserve.Args
+}
+
+// traceLine is one JSONL line of a trace.
+type traceLine struct {
+	Kind  string `json:"kind"`
+	Query string `json:"query"`
 }
 
 // Mix weighs the query types. Zero-valued fields get no traffic; an
@@ -53,9 +66,9 @@ func (m Mix) total() float64 { return m.BFS + m.SSSP + m.Connected + m.Component
 
 // Config parameterizes a generator.
 type Config struct {
-	// Vertices is the id space queries draw sources from.
-	Vertices int
-	// ZipfS is the popularity exponent: vertex of popularity rank k is
+	// Sources is the pool queries draw their vertex operands from.
+	Sources []uint32
+	// ZipfS is the popularity exponent: the source of popularity rank k is
 	// drawn with probability proportional to 1/k^s. 0 is uniform; 0.8
 	// is web-like; 1.2 concentrates most traffic on a few hot sources.
 	// Any s >= 0 is accepted (math/rand.Zipf requires s > 1; skewed
@@ -74,15 +87,15 @@ type Generator struct {
 	cfg  Config
 	rng  *xrand.State
 	cum  []float64 // Zipf rank CDF; nil when uniform
-	rank []uint32  // popularity rank -> vertex id
+	rank []uint32  // popularity rank -> source vertex id
 	mix  [4]float64
 }
 
 // NewGenerator builds a generator. The Zipf CDF is one table of
-// len = Vertices shared by every Split child.
+// len(Sources) entries shared by every Split child.
 func NewGenerator(cfg Config) *Generator {
-	if cfg.Vertices <= 0 {
-		panic("workload: Vertices must be positive")
+	if len(cfg.Sources) == 0 {
+		panic("workload: Sources must be non-empty")
 	}
 	if cfg.Mix.total() <= 0 {
 		cfg.Mix = DefaultMix
@@ -94,7 +107,7 @@ func NewGenerator(cfg Config) *Generator {
 	g.mix[2] = g.mix[1] + cfg.Mix.Connected/t
 	g.mix[3] = 1
 	if cfg.ZipfS > 0 {
-		n := cfg.Vertices
+		n := len(cfg.Sources)
 		g.cum = make([]float64, n)
 		sum := 0.0
 		for k := 0; k < n; k++ {
@@ -104,14 +117,14 @@ func NewGenerator(cfg Config) *Generator {
 		for k := range g.cum {
 			g.cum[k] /= sum
 		}
-		// Which vertices are hot is an arbitrary property of the graph:
-		// scatter the popularity ranks over the id space so rank 1 is
-		// not always vertex 0.
+		// Which sources are hot is an arbitrary property of the graph:
+		// scatter the popularity ranks over the pool so rank 1 is not
+		// always its first entry.
 		perm := make([]int, n)
 		g.rng.Perm(perm)
 		g.rank = make([]uint32, n)
-		for k, v := range perm {
-			g.rank[k] = uint32(v)
+		for k, i := range perm {
+			g.rank[k] = cfg.Sources[i]
 		}
 	}
 	return g
@@ -126,52 +139,32 @@ func (g *Generator) Split() *Generator {
 }
 
 // source draws one vertex by popularity.
-func (g *Generator) source() uint32 {
+func (g *Generator) source() uint64 {
 	if g.cum == nil {
-		return g.rng.Uint32n(uint32(g.cfg.Vertices))
+		return uint64(g.cfg.Sources[g.rng.Uint32n(uint32(len(g.cfg.Sources)))])
 	}
 	u := g.rng.Float64()
 	k := sort.SearchFloat64s(g.cum, u)
 	if k >= len(g.rank) {
 		k = len(g.rank) - 1
 	}
-	return g.rank[k]
+	return uint64(g.rank[k])
 }
 
-// Next draws the next query.
-func (g *Generator) Next() Op {
+// Next draws the next query. SSSP requests use the engine's heuristic
+// bucket width, the serving-friendly choice.
+func (g *Generator) Next() Request {
 	r := g.rng.Float64()
 	switch {
 	case r < g.mix[0]:
-		return Op{Kind: "bfs", U: g.source()}
+		return Request{Spec: qserve.SpecBFS, Args: qserve.Args{A: g.source()}}
 	case r < g.mix[1]:
-		return Op{Kind: "sssp", U: g.source()}
+		return Request{Spec: qserve.SpecSSSP, Args: qserve.Args{A: g.source()}}
 	case r < g.mix[2]:
-		return Op{Kind: "connected", U: g.source(), V: g.source()}
+		u := g.source()
+		return Request{Spec: qserve.SpecConnected, Args: qserve.Args{A: u, B: g.source()}}
 	default:
-		return Op{Kind: "components"}
-	}
-}
-
-// Apply runs op against the engine, returning the reply epoch. Unknown
-// kinds are an error (a trace from a newer build), engine errors pass
-// through (shed and stale are the caller's business).
-func Apply(eng qserve.Engine, op Op) (uint64, error) {
-	switch op.Kind {
-	case "bfs":
-		r, err := eng.BFS(op.U)
-		return r.Epoch, err
-	case "sssp":
-		r, err := eng.SSSP(op.U, op.Delta)
-		return r.Epoch, err
-	case "connected":
-		r, err := eng.Connected(op.U, op.V)
-		return r.Epoch, err
-	case "components":
-		r, err := eng.Components()
-		return r.Epoch, err
-	default:
-		return 0, fmt.Errorf("workload: unknown op kind %q", op.Kind)
+		return Request{Spec: qserve.SpecComponents}
 	}
 }
 
@@ -195,19 +188,21 @@ func NewRecorder(path string) (*Recorder, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	return &Recorder{f: f, w: w, enc: json.NewEncoder(w)}, nil
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false) // keep query strings readable: & not \u0026
+	return &Recorder{f: f, w: w, enc: enc}, nil
 }
 
 // RecordQuery appends one query to the trace. The first write error
 // sticks and silences the rest (Close reports it): tracing must never
 // take down serving.
-func (r *Recorder) RecordQuery(kind string, u, v uint32, delta int64) {
+func (r *Recorder) RecordQuery(sp *qserve.Spec, query string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil {
 		return
 	}
-	if err := r.enc.Encode(Op{Kind: kind, U: u, V: v, Delta: delta}); err != nil {
+	if err := r.enc.Encode(traceLine{Kind: sp.Name(), Query: query}); err != nil {
 		r.err = err
 		return
 	}
@@ -236,29 +231,48 @@ func (r *Recorder) Close() error {
 	return err
 }
 
-// ReadTrace loads a JSONL trace written by Recorder.
-func ReadTrace(path string) ([]Op, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var ops []Op
-	sc := bufio.NewScanner(f)
+// ReadTrace decodes a JSONL trace written by Recorder. Blank lines are
+// skipped. A line that is not JSON, names an unregistered kind, or
+// carries a parameter its kind's decoder rejects is an error naming the
+// line number; no line is replayed unchecked.
+func ReadTrace(r io.Reader) ([]Request, error) {
+	var reqs []Request
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	line := 0
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		line++
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var op Op
-		if err := json.Unmarshal(line, &op); err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: %w", len(ops)+1, err)
+		req, err := decodeLine(sc.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("workload: trace line %d: %w", line, err)
 		}
-		ops = append(ops, op)
+		reqs = append(reqs, req)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload: trace line %d: %w", line+1, err)
 	}
-	return ops, nil
+	return reqs, nil
+}
+
+func decodeLine(b []byte) (Request, error) {
+	var tl traceLine
+	if err := json.Unmarshal(b, &tl); err != nil {
+		return Request{}, err
+	}
+	sp := qserve.LookupSpec(tl.Kind)
+	if sp == nil {
+		return Request{}, fmt.Errorf("unknown query kind %q", tl.Kind)
+	}
+	q, err := url.ParseQuery(tl.Query)
+	if err != nil {
+		return Request{}, fmt.Errorf("%s query %q: %w", tl.Kind, tl.Query, err)
+	}
+	a, err := sp.Decode(q)
+	if err != nil {
+		return Request{}, fmt.Errorf("%s query %q: %w", tl.Kind, tl.Query, err)
+	}
+	return Request{Spec: sp, Args: a}, nil
 }

@@ -26,13 +26,13 @@ func benchExecutor(b *testing.B, scale int, cfg qserve.Config) (*qserve.Executor
 // allocs/op must stay at zero at the serving config.
 func BenchmarkClusteringQuery(b *testing.B) {
 	ex, _ := benchExecutor(b, 14, qserve.Config{Undirected: true, MaxConcurrent: 1})
-	if _, err := ex.Clustering(); err != nil {
+	if _, err := qserve.Clustering(ex); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Clustering(); err != nil {
+		if _, err := qserve.Clustering(ex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,13 +44,13 @@ func BenchmarkClusteringQuery(b *testing.B) {
 func BenchmarkKHopQuery(b *testing.B) {
 	ex, sm := benchExecutor(b, 16, qserve.Config{Undirected: true, MaxConcurrent: 1})
 	src := sm.Current().SampleSources(1, 1)[0]
-	if _, err := ex.KHop(src, 3); err != nil {
+	if _, err := qserve.KHop(ex, src, 3); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.KHop(src, 3); err != nil {
+		if _, err := qserve.KHop(ex, src, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,13 +60,13 @@ func BenchmarkKHopQuery(b *testing.B) {
 // the default tolerance, all state pooled. allocs/op must stay at zero.
 func BenchmarkPageRankQuery(b *testing.B) {
 	ex, _ := benchExecutor(b, 14, qserve.Config{Undirected: true, MaxConcurrent: 1})
-	if _, err := ex.PageRank(0); err != nil {
+	if _, err := qserve.PageRank(ex, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.PageRank(0); err != nil {
+		if _, err := qserve.PageRank(ex, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,13 +80,13 @@ func BenchmarkLiveConnectedQuery(b *testing.B) {
 	ex, sm := benchExecutor(b, 16, qserve.Config{Undirected: true, MaxConcurrent: 1})
 	ex.EnableLive()
 	srcs := sm.Current().SampleSources(2, 1)
-	if _, err := ex.ConnectedLive(srcs[0], srcs[1]); err != nil {
+	if _, err := qserve.ConnectedLive(ex, srcs[0], srcs[1]); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.ConnectedLive(srcs[0], srcs[1]); err != nil {
+		if _, err := qserve.ConnectedLive(ex, srcs[0], srcs[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,11 +90,11 @@ func TestAutoRefreshHammer(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = ex.BFS(src % n)
+					_, err = qserve.BFS(ex, src%n)
 				case 1:
-					_, err = ex.SSSP(src%n, 0)
+					_, err = qserve.SSSP(ex, src%n, 0)
 				default:
-					_, err = ex.Connected(src%n, (src+13)%n)
+					_, err = qserve.Connected(ex, src%n, (src+13)%n)
 				}
 				if err != nil {
 					t.Errorf("query failed: %v", err)
@@ -220,10 +220,10 @@ func BenchmarkServiceQuery(b *testing.B) {
 
 	warm := func(b *testing.B) {
 		b.Helper()
-		if _, err := ex.BFS(src); err != nil {
+		if _, err := qserve.BFS(ex, src); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ex.SSSP(src, 0); err != nil {
+		if _, err := qserve.SSSP(ex, src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.BFS(src); err != nil {
+			if _, err := qserve.BFS(ex, src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -245,7 +245,7 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.SSSP(src, 0); err != nil {
+			if _, err := qserve.SSSP(ex, src, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -272,7 +272,7 @@ func BenchmarkSSSPColdSnapshot(b *testing.B) {
 	sm := g.Manager(0)
 	ex := executorFor(sm, qserve.Config{Undirected: true, MaxConcurrent: 1})
 	src := sm.Current().SampleSources(1, 1)[0]
-	if _, err := ex.SSSP(src, 0); err != nil { // size the pooled buffers
+	if _, err := qserve.SSSP(ex, src, 0); err != nil { // size the pooled buffers
 		b.Fatal(err)
 	}
 	batch := make([]Update, 64)
@@ -291,7 +291,7 @@ func BenchmarkSSSPColdSnapshot(b *testing.B) {
 		sm.ApplyUpdates(0, batch)
 		sm.Refresh(0)
 		b.StartTimer()
-		if _, err := ex.SSSP(src, 0); err != nil {
+		if _, err := qserve.SSSP(ex, src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,14 +322,14 @@ func BenchmarkCachedBFS(b *testing.B) {
 		ex := executorFor(sm, qserve.Config{Undirected: true, MaxConcurrent: 1,
 			CacheBytes: 256 << 20})
 		for i := 0; i < 2; i++ {
-			if _, err := ex.BFS(srcs[0]); err != nil {
+			if _, err := qserve.BFS(ex, srcs[0]); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.BFS(srcs[0]); err != nil {
+			if _, err := qserve.BFS(ex, srcs[0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -345,7 +345,7 @@ func BenchmarkCachedBFS(b *testing.B) {
 		// sources guarantees every op recomputes and evicts.
 		ex := executorFor(sm, qserve.Config{Undirected: true, MaxConcurrent: 1,
 			CacheBytes: 1 << 20})
-		if _, err := ex.BFS(srcs[0]); err != nil {
+		if _, err := qserve.BFS(ex, srcs[0]); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -353,7 +353,7 @@ func BenchmarkCachedBFS(b *testing.B) {
 		// Offset by one: the first timed op must not collide with the
 		// warm-up entry while it is still resident.
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.BFS(srcs[(i+1)%len(srcs)]); err != nil {
+			if _, err := qserve.BFS(ex, srcs[(i+1)%len(srcs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -114,7 +114,10 @@ func TestShardedGatedEdgeOps(t *testing.T) {
 func TestShardedAutoRefresh(t *testing.T) {
 	_, sg := shardedFixture(t, 4, true)
 	start := sg.Epoch()
-	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, Poll: time.Millisecond}) {
+	// A MaxDirty-only policy never refreshes a residue below the
+	// threshold (see AutoRefreshPolicy), so settling to staleness 0
+	// needs the age trigger too; the dirty trigger is asserted below.
+	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 50 * time.Millisecond, Poll: time.Millisecond}) {
 		t.Fatal("auto-refresh did not start")
 	}
 	defer sg.StopAutoRefresh()
@@ -138,8 +141,8 @@ func TestShardedAutoRefresh(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if m := sg.Metrics(); m.Refreshes == 0 {
-		t.Fatalf("no refreshes recorded: %+v", m)
+	if m := sg.Metrics(); m.Refreshes == 0 || m.DirtyTriggered == 0 {
+		t.Fatalf("no dirty-triggered refreshes recorded: %+v", m)
 	}
 	sg.StopAutoRefresh()
 	view := sg.Refresh(2)
