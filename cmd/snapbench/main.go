@@ -30,12 +30,7 @@
 // p50/p99 per-query latency under mixed ingest/query load, sweeping
 // 1..-qworkers concurrent query workers with -qduration of sustained
 // load per point, plus the allocation-churn measurement behind the
-// RCU-by-GC verdict in ROADMAP.md. The figure "shard" sweeps the
-// vertex-partitioned fleet (-shards counts): bulk-load ingest MUPS
-// through P concurrent shard gates, scatter-gather BFS rate over the
-// per-shard pinned snapshots, and sustained mixed QPS through the
-// fleet executor, each against the single-store baseline. The figure
-// "memory" sweeps the memory-scale snapshot formats (plain, degree-,
+// RCU-by-GC verdict in ROADMAP.md. The figure "memory" sweeps the memory-scale snapshot formats (plain, degree-,
 // BFS- and RCM-reordered CSR, gap-compressed adjacency): bytes per
 // stored arc against BFS and SSSP traversal rate on each format, over
 // the -scales list (default just -scale). The figure "ingest" prices
@@ -58,7 +53,6 @@
 // artifacts.
 //
 //	snapbench -fig service -scale 16 -qworkers 8 -qduration 2s
-//	snapbench -fig shard -scale 16 -shards 1,2,4,8 -json BENCH_shard.json
 //	snapbench -fig memory -scales 16,18 -json BENCH_memory.json
 package main
 
@@ -93,7 +87,6 @@ func main() {
 		qduration  = flag.Duration("qduration", time.Second, "sustained-load duration per sweep point for the 'service' figure")
 		deltas     = flag.String("deltas", "", "comma-separated delta-stepping bucket widths to sweep for -kernel=sssp (0 = average-weight heuristic; default just the heuristic)")
 		scales     = flag.String("scales", "", "comma-separated scales for figure 1 (default scale-6..scale)")
-		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the 'shard' figure")
 		zipfs      = flag.String("zipf", "0,0.8,1.2", "comma-separated Zipf exponents for the 'workload' figure")
 		cacheBytes = flag.Int64("cache-bytes", 128<<20, "result-cache budget for the 'workload' figure's cached runs")
 		rate       = flag.Float64("rate", 0, "open-loop arrival rate (queries/s per worker) for the 'workload' figure; 0 = closed loop")
@@ -180,13 +173,6 @@ func main() {
 		"ingest": func() *timing.Table {
 			return bench.FigIngest(cfg, *qworkers, *qduration)
 		},
-		"shard": func() *timing.Table {
-			sc, err := parseInts(*shards)
-			if err != nil {
-				fatalf("bad -shards: %v", err)
-			}
-			return bench.FigShard(cfg, sc, *qworkers, *qduration)
-		},
 		"workload": func() *timing.Table {
 			zs, err := parseFloats(*zipfs)
 			if err != nil {
@@ -218,7 +204,7 @@ func main() {
 		for _, f := range strings.Split(*fig, ",") {
 			f = strings.TrimSpace(f)
 			if _, ok := runners[f]; !ok {
-				fatalf("unknown figure %q (want 1..11, kernel, pipeline, service, shard, memory, ingest, workload, or all)", f)
+				fatalf("unknown figure %q (want 1..11, kernel, pipeline, service, memory, ingest, workload, or all)", f)
 			}
 			order = append(order, f)
 		}

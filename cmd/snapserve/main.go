@@ -40,16 +40,8 @@
 // in-flight requests, flushes the batcher, writes a final checkpoint,
 // and closes the log.
 //
-// With -shards N (N > 1) the daemon serves a vertex-partitioned fleet
-// instead of one store: N tracked stores each behind their own
-// snapshot manager and auto-refresher, ingest batches routed to the
-// owning shard's gate so they apply concurrently, and every query
-// running scatter-gather across the shards' pinned snapshots — same
-// endpoints, same wire format.
-//
 // With -live the daemon additionally maintains a dynamic spanning
-// forest fed synchronously by the ingest path (per-shard forests
-// joined by a merged union-find when sharded), so
+// forest fed synchronously by the ingest path, so
 // /query/connected?u=N&v=M&live=1 answers from the update stream
 // without waiting for the next snapshot refresh.
 //
@@ -88,6 +80,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -98,7 +91,6 @@ import (
 	"snapdyn/internal/graphio"
 	"snapdyn/internal/qserve"
 	"snapdyn/internal/rmat"
-	"snapdyn/internal/shard"
 	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/stream"
 	"snapdyn/internal/workload"
@@ -115,8 +107,7 @@ type config struct {
 	undirected bool
 
 	workers      int // ingest + refresh parallelism
-	shards       int // vertex-partitioned shard workers (<= 1 = single store)
-	queryWorkers int // kernel parallelism per query (single-shard engine)
+	queryWorkers int // kernel parallelism per query
 	maxQueries   int // concurrent query slots
 	maxQueue     int // waiting queries before shedding
 
@@ -137,8 +128,8 @@ type config struct {
 	recordPath string
 
 	// walDir enables the durable ingest path: group-commit WAL +
-	// checkpoints under this directory (per-shard subdirectories when
-	// sharded). Empty keeps the volatile direct-apply path.
+	// checkpoints under this directory. Empty keeps the volatile
+	// direct-apply path.
 	walDir       string
 	ckptEvery    uint64
 	batchMax     int
@@ -159,13 +150,13 @@ func (c config) durableConfig() durable.Config {
 }
 
 // service is a fully assembled serving stack: tracked storage behind
-// auto-refreshing snapshot management (one store, or a fleet of
-// vertex-partitioned shards), the executor pool, and the HTTP handler.
+// auto-refreshing snapshot management, the executor pool, and the HTTP
+// handler.
 type service struct {
 	ex  qserve.Engine
 	srv *qserve.Server
 	// stop shuts the stack down in dependency order: batcher flush and
-	// final checkpoint (durable path), auto-refresher(s), log close.
+	// final checkpoint (durable path), auto-refresher, log close.
 	stop func() error
 	// recovery describes what the durable path restored, for the
 	// startup banner ("" when volatile or fresh).
@@ -199,9 +190,14 @@ func buildService(cfg config) (*service, error) {
 	return svc, nil
 }
 
-// buildStack loads or generates the graph, builds the manager (or
-// shard fleet) and executor, and starts the auto-refresher(s).
+// buildStack loads or generates the graph, builds the manager and
+// executor, and starts the auto-refresher.
 func buildStack(cfg config) (*service, error) {
+	if cfg.walDir != "" {
+		if err := refuseFleetWAL(cfg.walDir); err != nil {
+			return nil, err
+		}
+	}
 	var edges []edge.Edge
 	var n int
 	if cfg.graphPath != "" {
@@ -241,61 +237,9 @@ func buildStack(cfg config) (*service, error) {
 		CacheBytes:    cfg.cacheBytes,
 	}
 
-	scfg := shard.Config{
-		Shards:        cfg.shards,
-		Workers:       cfg.workers,
-		ExpectedEdges: 4 * len(ups),
-	}
-
-	if cfg.shards > 1 && cfg.walDir != "" {
-		// Durable fleet: one WAL + checkpoint directory per shard,
-		// ingest scattered into per-shard group commits.
-		df, infos, err := shard.OpenDurable(n, scfg, ups, cfg.durableConfig())
-		if err != nil {
-			return nil, err
-		}
-		df.Start(policy)
-		ex := shard.NewExecutor(df.Fleet, qcfg)
-		ex.SetIngest(df.Ingest)
-		if cfg.live {
-			ex.EnableLive()
-		}
-		var rec string
-		for s, info := range infos {
-			if info.Recovered {
-				rec += fmt.Sprintf("shard %d: recovered LSN %d (ckpt %d, %d replayed) in %v; ",
-					s, info.LSN, info.CheckpointLSN, info.ReplayedUpdates, info.Elapsed.Round(time.Millisecond))
-			}
-		}
-		return &service{
-			ex:       ex,
-			srv:      qserve.NewServer(ex, cfg.undirected, cfg.workers),
-			stop:     df.Close, // flushes batchers, stops refreshers, final checkpoints
-			recovery: rec,
-		}, nil
-	}
-
-	if cfg.shards > 1 {
-		// Fleet path: one tracked store + manager + auto-refresher per
-		// shard, ingest routed by vertex owner, queries scatter-gather.
-		fleet := shard.New(n, scfg)
-		fleet.Ingest(cfg.workers, ups)
-		fleet.Refresh(cfg.workers)
-		fleet.Start(policy)
-		ex := shard.NewExecutor(fleet, qcfg)
-		if cfg.live {
-			ex.EnableLive()
-		}
-		return &service{
-			ex:   ex,
-			srv:  qserve.NewServer(ex, cfg.undirected, cfg.workers),
-			stop: func() error { fleet.Stop(); return nil },
-		}, nil
-	}
-
 	if cfg.walDir != "" {
-		// Durable single store: bootstrap seeds a fresh directory (and
-		// is checkpointed); a recovered directory wins over bootstrap.
+		// Durable store: bootstrap seeds a fresh directory (and is
+		// checkpointed); a recovered directory wins over bootstrap.
 		newStore := func(n int) dyngraph.Store {
 			return dyngraph.NewHybrid(n, 4*len(edges), 0, cfg.seed)
 		}
@@ -338,6 +282,21 @@ func buildStack(cfg config) (*service, error) {
 	}, nil
 }
 
+// refuseFleetWAL fails when dir holds the per-shard shard-NNN
+// subdirectories an earlier vertex-partitioned release wrote. The
+// acknowledged updates live in those subdirectories; bootstrapping a
+// fresh log beside them would serve a graph that silently lacks them.
+func refuseFleetWAL(dir string) error {
+	found, err := filepath.Glob(filepath.Join(dir, "shard-[0-9][0-9][0-9]*"))
+	if err != nil || len(found) == 0 {
+		return err
+	}
+	for i, p := range found {
+		found[i] = filepath.Base(p)
+	}
+	return fmt.Errorf("-wal-dir %s holds per-shard logs %v from a sharded deployment, which this build cannot recover; move them aside or use another directory", dir, found)
+}
+
 // close drains the stack: on the durable path this resolves every
 // outstanding ack, writes a final checkpoint, and closes the log(s).
 func (s *service) close() error { return s.stop() }
@@ -352,7 +311,6 @@ func main() {
 		seed       = flag.Uint64("seed", 20090525, "random seed")
 		undirected = flag.Bool("undirected", true, "maintain mirror arcs (enables direction-optimizing queries)")
 		workers    = flag.Int("workers", 0, "ingest/refresh parallelism (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "vertex-partitioned shard workers; >1 serves a scatter-gather fleet")
 		qworkers   = flag.Int("qworkers", 1, "kernel parallelism per query")
 		qmax       = flag.Int("qmax", 0, "max concurrent queries (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "max waiting queries before shedding (0 = 2*qmax)")
@@ -362,7 +320,7 @@ func main() {
 		refAge     = flag.Duration("refresh-age", 500*time.Millisecond, "auto-refresh when the snapshot is this stale with updates pending")
 		refPoll    = flag.Duration("refresh-poll", 0, "auto-refresh trigger poll interval (0 = derived)")
 		live       = flag.Bool("live", false, "maintain a live connectivity forest on the ingest path (serves connected?live=1)")
-		walDir     = flag.String("wal-dir", "", "durable ingest: WAL + checkpoint directory (per-shard subdirs when sharded); empty = volatile")
+		walDir     = flag.String("wal-dir", "", "durable ingest: WAL + checkpoint directory; empty = volatile")
 		ckptEvery  = flag.Uint64("checkpoint-every", 1<<20, "checkpoint after this many committed updates per log (0 = only on clean shutdown)")
 		batchMax   = flag.Int("batch-max", 0, "group-commit flush size (0 = default)")
 		batchDelay = flag.Duration("batch-delay", 0, "group-commit max batch age before flush (0 = default)")
@@ -378,7 +336,6 @@ func main() {
 		seed:         *seed,
 		undirected:   *undirected,
 		workers:      *workers,
-		shards:       *shards,
 		queryWorkers: *qworkers,
 		maxQueries:   *qmax,
 		maxQueue:     *queue,

@@ -22,13 +22,7 @@ import (
 // /healthz reports monotonically non-decreasing epochs that actually
 // advance (the background auto-refresher is doing the publishing — no
 // explicit refresh call anywhere in this test). Run under -race in CI.
-func TestServiceSmoke(t *testing.T) { runServiceSmoke(t, 1) }
-
-// TestServiceSmokeSharded is the same smoke over the scatter-gather
-// fleet engine: identical HTTP surface, -shards 4 underneath.
-func TestServiceSmokeSharded(t *testing.T) { runServiceSmoke(t, 4) }
-
-func runServiceSmoke(t *testing.T, shards int) {
+func TestServiceSmoke(t *testing.T) {
 	svc, err := buildService(config{
 		scale:        9,
 		edgeFactor:   8,
@@ -36,7 +30,6 @@ func runServiceSmoke(t *testing.T, shards int) {
 		seed:         42,
 		undirected:   true,
 		workers:      2,
-		shards:       shards,
 		queryWorkers: 1,
 		maxQueries:   4,
 		maxQueue:     1 << 20, // never shed: the smoke asserts all-200s
@@ -252,10 +245,7 @@ func runServiceSmoke(t *testing.T, shards int) {
 // minEpoch), shuts down cleanly, and restarts from the same directory:
 // the ingested arcs must survive and epochs must stay monotone across
 // the restart.
-func TestDurableServiceRestart(t *testing.T)        { runDurableRestart(t, 1) }
-func TestDurableServiceRestartSharded(t *testing.T) { runDurableRestart(t, 3) }
-
-func runDurableRestart(t *testing.T, shards int) {
+func TestDurableServiceRestart(t *testing.T) {
 	dir := t.TempDir()
 	graph := dir + "/g.txt"
 	// Two disconnected undirected edges: 0-1 and 2-3. The ingested arc
@@ -267,7 +257,6 @@ func runDurableRestart(t *testing.T, shards int) {
 		graphPath:    graph,
 		undirected:   true,
 		workers:      2,
-		shards:       shards,
 		queryWorkers: 1,
 		maxQueries:   2,
 		maxQueue:     1 << 10,
@@ -321,22 +310,13 @@ func runDurableRestart(t *testing.T, shards int) {
 	if rep.Epoch == 0 {
 		t.Fatal("durable ingest acked epoch 0")
 	}
-	// Read your writes: minEpoch = ack epoch. The single-store wait is
-	// precise; the fleet sum-epoch wait is coarse, so poll there.
+	// Read your writes: minEpoch = ack epoch.
 	code, conn := connected(fmt.Sprintf("&minEpoch=%d", rep.Epoch))
 	if code != http.StatusOK {
 		t.Fatalf("connected with minEpoch = %d", code)
 	}
-	if shards == 1 && !conn.Connected {
+	if !conn.Connected {
 		t.Fatal("acked bridge arc not visible at ack epoch")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !conn.Connected {
-		if time.Now().After(deadline) {
-			t.Fatal("acked bridge arc never became visible")
-		}
-		time.Sleep(2 * time.Millisecond)
-		_, conn = connected("")
 	}
 
 	// A hopeless minEpoch fails fast with 503, not a hang.
@@ -370,6 +350,42 @@ func runDurableRestart(t *testing.T, shards int) {
 	rep2 := post(`[{"u":0,"v":2,"t":11}]`)
 	if rep2.Epoch <= rep.Epoch {
 		t.Fatalf("ack epoch regressed across restart: %d then %d", rep.Epoch, rep2.Epoch)
+	}
+}
+
+// TestDurableServiceRefusesShardDirs: a WAL directory laid out by a
+// sharded deployment (one shard-NNN log per shard) must stop the
+// daemon with an error naming those logs, not bootstrap a fresh graph
+// beside the acknowledged data.
+func TestDurableServiceRefusesShardDirs(t *testing.T) {
+	dir := t.TempDir()
+	graph := dir + "/g.txt"
+	if err := os.WriteFile(graph, []byte("0 1 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal := dir + "/wal"
+	for _, s := range []string{"shard-000", "shard-001"} {
+		if err := os.MkdirAll(wal+"/"+s, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := buildStack(config{
+		graphPath:  graph,
+		undirected: true,
+		workers:    1,
+		walDir:     wal,
+	})
+	if err == nil {
+		svc.close()
+		t.Fatal("buildStack bootstrapped over a sharded WAL directory")
+	}
+	for _, s := range []string{"shard-000", "shard-001"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Fatalf("error %q does not name %s", err, s)
+		}
+	}
+	if entries, _ := os.ReadDir(wal); len(entries) != 2 {
+		t.Fatalf("refused start wrote into the WAL directory: %v", entries)
 	}
 }
 

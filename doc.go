@@ -100,13 +100,13 @@
 //   - A registry-based query surface (internal/qserve/registry.go):
 //     every query kind is one registered Spec — wire name, parameter
 //     decoding, cache-key derivation, reply encoding — and the HTTP
-//     route table, the query-trace format, the cache keyspace, and
-//     each engine's kernel table (indexed by Spec.ID) are all derived
+//     route table, the query-trace format, the cache keyspace, and the
+//     executor's kernel table (indexed by Spec.ID) are all derived
 //     from that catalog, so adding a kind is one registration plus one
-//     kernel per engine, not a stack of parallel switch statements.
-//     One generic pipeline (qserve.Pipeline: admit, pin, validate,
-//     quick answer, cache, kernel) serves both engines; typed callers
-//     use free functions over any engine (qserve.BFS(eng, src), ...).
+//     kernel, not a stack of parallel switch statements. One pipeline
+//     (qserve.Pipeline: admit, pin, validate, quick answer, cache,
+//     kernel) serves every kind; typed callers use free functions over
+//     any engine (qserve.BFS(eng, src), ...).
 //     snapserve -record writes each request in wire form, one JSONL
 //     line {"kind":…,"query":…} holding the kind and the query string
 //     without minEpoch, and replay decodes it through the same Spec,
@@ -114,44 +114,29 @@
 //     BFS/SSSP/connectivity/components, the catalog serves clustering
 //     coefficients and triangle counts (internal/cluster,
 //     merge-intersection over dedup-sorted adjacency, float mean folded
-//     in original-id order so it is bitwise-identical across layouts
-//     and shard counts), k-hop neighborhood size (depth-truncated BFS),
-//     and PageRank on the traversal engine's Relax mode
-//     (push-residual; the fleet solves by power iteration, so PageRank
-//     is the one documented cross-engine tolerance-band exception to
-//     bit-identity). All ride the pooled scratch and cache paths at 0
-//     allocs/op steady state, asserted.
+//     in original-id order so it is bitwise-identical across layouts),
+//     k-hop neighborhood size (depth-truncated BFS), and PageRank on
+//     the traversal engine's Relax mode (push-residual; its float
+//     accumulation follows arc order, so across layouts PageRank is
+//     the one documented tolerance-band exception to bit-identity).
+//     All ride the pooled scratch and cache paths at 0 allocs/op
+//     steady state, asserted.
 //     GET /v1/query/<kind> wraps replies in a typed envelope
 //     {kind, epoch, cache, data} with structured error codes; the flat
 //     /query/<kind> routes remain as pinned aliases. Between-refresh
 //     connectivity (connected?live=1, after EnableLive / snapserve
 //     -live) answers from a dynamic spanning forest the ingest path
-//     updates synchronously — per-shard forests joined by label merge
-//     on the fleet — proving connectivity without hop counts, never
-//     cached, and asserted to agree exactly with the next published
-//     snapshot's components under randomized churn including tree-edge
-//     deletions. Sampled betweenness runs as an offline job
+//     updates synchronously, proving connectivity without hop counts,
+//     never cached, and asserted to agree exactly with the next
+//     published snapshot's components under randomized churn including
+//     tree-edge deletions. Sampled betweenness runs as an offline job
 //     (POST /v1/jobs/betweenness, progress polled at /v1/jobs/{id});
 //     jobs waive the zero-alloc guarantee and require a resident global
-//     CSR (compressed layouts fail the job, fleets answer 501).
-//   - A vertex-partitioned sharding layer behind the same facade
-//     (NewSharded, internal/shard): vertex u is owned by shard u % P,
-//     and each of the P shard workers runs its own Tracked store +
-//     snapshot manager + auto-refresher, so ingest parallelizes across
-//     P independent gates instead of serializing on one RWMutex. Every
-//     shard's store spans the full vertex set but holds only its owned
-//     vertices' out-arcs; the union of the per-shard CSRs is exactly
-//     the global graph. Queries scatter-gather over one pinned
-//     snapshot per shard: BFS and delta-stepping SSSP run
-//     level-synchronously with a cross-shard frontier exchange per
-//     level (results bit-identical to the single-snapshot kernels),
-//     components merge per-shard labels, stats fan out and reduce.
-//     The fleet plugs into the same qserve executor interface, and
-//     cmd/snapserve serves it behind -shards N with an unchanged HTTP
-//     surface. Weight-sorted adjacency in wcsr (arcs sorted by
-//     (weight, neighbor) at Rebuild, with a linear-time LSD radix sort
-//     per span that skips the key bytes all arcs share and the neighbor
-//     bytes of spans already in neighbor order) makes a delta change a
+//     CSR (compressed layouts fail the job).
+//   - Weight-sorted adjacency in wcsr (arcs sorted by (weight,
+//     neighbor) at Rebuild, with a linear-time LSD radix sort per span
+//     that skips the key bytes all arcs share and the neighbor bytes of
+//     spans already in neighbor order) makes a delta change a
 //     binary-search re-split (Retarget, O(n log maxdeg)) instead of a
 //     rebuild.
 //   - Memory-scale snapshot formats as first-class pipeline citizens
@@ -193,12 +178,10 @@
 //     Periodic CSR checkpoints (graphio binary format, written to a
 //     temp file and atomically renamed) bound replay and prune covered
 //     segments; checkpointing is an optimization, never a correctness
-//     requirement. Sharded deployments run one WAL per shard with
-//     scattered group commits and a joined ack. All of it is proven by
-//     fault-injected randomized kill-and-recover tests (short writes,
-//     disk full, fsync failure, crash hooks pinned at every commit
-//     stage) comparing recovered state arc-for-arc to a never-crashed
-//     oracle.
+//     requirement. All of it is proven by fault-injected randomized
+//     kill-and-recover tests (short writes, disk full, fsync failure,
+//     crash hooks pinned at every commit stage) comparing recovered
+//     state arc-for-arc to a never-crashed oracle.
 //   - The R-MAT generator and update-stream tooling used by the paper's
 //     evaluation, one benchmark driver per paper figure, a unified
 //     kernel sweep (cmd/snapbench -fig kernel
@@ -236,12 +219,4 @@
 // DeleteEdge) — any number of them proceed concurrently, and the gate
 // serializes them against background refreshes without ever blocking
 // readers.
-//
-// A ShardedGraph carries the same contracts per shard: per-shard epochs
-// are independently monotone (the facade's Epoch is their sum), gated
-// ingest routes every update through its owning shard's gate, and a
-// query pins one snapshot per shard for its whole lifetime — per-shard
-// reads are mutually consistent, but two shards may expose different
-// ingest prefixes, exactly as a single-store reader may hold a snapshot
-// older than the newest batch.
 package snapdyn

@@ -12,9 +12,8 @@
 //
 // The arena (Scratch) is pooled: a serving layer keeps one per query
 // slot and recounts each snapshot with zero steady-state allocations.
-// It counts from a plain CSR, a gap-compressed snapshot, or a sharded
-// fleet's vertex-partitioned views — all three produce identical
-// per-vertex triangle counts on the same graph.
+// It counts from a plain CSR or a gap-compressed snapshot — both
+// produce identical per-vertex triangle counts on the same graph.
 package cluster
 
 import (
@@ -148,45 +147,6 @@ func (s *Scratch) dedupStreamRange(cg *compress.Graph, lo, hi int) {
 		}
 		s.dedupSorted(uint32(u))
 	}
-}
-
-// ComputeViews counts triangles over a vertex-partitioned fleet: all
-// arcs out of u live in views[u % len(views)] (the fleet's owner
-// mapping), each view a full-width CSR.
-func (s *Scratch) ComputeViews(workers int, views []*csr.Graph) {
-	p := len(views)
-	n := views[0].N
-	var m int64
-	for _, g := range views {
-		m += int64(len(g.Adj))
-	}
-	s.resize(n, m)
-	var off int64
-	for u := 0; u < n; u++ {
-		s.offs[u] = off
-		off += views[u%p].Degree(edge.ID(u))
-	}
-	s.offs[n] = off
-	if workers == 1 {
-		for u := 0; u < n; u++ {
-			raw, _ := views[u%p].Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
-		s.countSerial(n)
-		return
-	}
-	s.dedupViewsParallel(workers, views)
-	s.count(workers, n)
-}
-
-func (s *Scratch) dedupViewsParallel(workers int, views []*csr.Graph) {
-	p := len(views)
-	par.ForDynamic(workers, views[0].N, 128, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			raw, _ := views[u%p].Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
-	})
 }
 
 // resize shapes the arena for n vertices and m raw arcs.

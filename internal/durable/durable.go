@@ -2,8 +2,7 @@
 // batcher (internal/batcher) in front of a write-ahead log
 // (internal/wal) in front of the gated snapshot manager
 // (internal/snapmgr). One Store owns one log directory and one tracked
-// store; a sharded deployment runs one Store per shard
-// (internal/shard.OpenDurable).
+// store.
 //
 // The durability contract, end to end:
 //

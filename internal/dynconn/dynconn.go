@@ -81,18 +81,6 @@ func (x *Index) NumEdges() int64 { return x.edges }
 // TreeEdges returns the current spanning-forest size (diagnostic).
 func (x *Index) TreeEdges() int64 { return x.treeEdges }
 
-// EachTreeEdge calls fn once per spanning-forest tree edge (child,
-// parent). Union-ing exactly these pairs reproduces the index's
-// connectivity partition — the label-merge hook a sharded fleet uses to
-// join per-shard forests into fleet-wide connectivity.
-func (x *Index) EachTreeEdge(fn func(u, v edge.ID)) {
-	for v, p := range x.parent {
-		if p != noParent {
-			fn(edge.ID(v), p)
-		}
-	}
-}
-
 // FindRoot walks to the representative of v's component.
 func (x *Index) FindRoot(v edge.ID) edge.ID {
 	for x.parent[v] != noParent {

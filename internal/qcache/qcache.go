@@ -154,16 +154,14 @@ func (c *Cache) Current() *Gen {
 
 // Gen is one cache generation: the entries computed against exactly
 // one published snapshot. Its identity is the snapshot the owning
-// executor pinned when the generation was created — either one
-// pointer (ID) or, for the sharded fleet, one pinned snapshot per
-// shard (IDs). A generation is never invalidated in place: when the
-// pipeline publishes a different snapshot, lookups stop matching, a
-// fresh generation replaces it, and the old one is garbage once its
-// last in-flight reader drops it.
+// executor pinned when the generation was created (ID). A generation
+// is never invalidated in place: when the pipeline publishes a
+// different snapshot, lookups stop matching, a fresh generation
+// replaces it, and the old one is garbage once its last in-flight
+// reader drops it.
 type Gen struct {
 	c     *Cache
 	id    any
-	ids   []any
 	epoch uint64
 
 	mu      sync.RWMutex
@@ -182,13 +180,8 @@ type entry struct {
 	gbytes int64 // budget charge while resident (0 = not resident)
 }
 
-// ID returns the single-snapshot identity the generation serves (nil
-// for a multi-identity generation).
+// ID returns the snapshot identity the generation serves.
 func (g *Gen) ID() any { return g.id }
-
-// IDs returns the multi-part identity (the fleet's per-shard pinned
-// snapshots), nil for a single-snapshot generation.
-func (g *Gen) IDs() []any { return g.ids }
 
 // Epoch returns the epoch observed when the generation was installed
 // (a tiebreaker against stale writers, not an invalidation signal).
@@ -222,46 +215,6 @@ func (c *Cache) ForView(id any, epoch uint64) *Gen {
 			return g
 		}
 	}
-}
-
-// ForViews is ForView for multi-part identities: the generation
-// matches while every pinned snapshot is identical (elementwise ==).
-// ids is copied on install, so callers may reuse their buffer.
-func (c *Cache) ForViews(ids []any, epoch uint64) *Gen {
-	if c == nil {
-		return nil
-	}
-	g := c.gen.Load()
-	if g.matchIDs(ids) {
-		return g
-	}
-	ng := &Gen{c: c, ids: append([]any(nil), ids...), epoch: epoch, entries: make(map[Key]*entry)}
-	for {
-		if g != nil && g.epoch > epoch {
-			return ng
-		}
-		if c.gen.CompareAndSwap(g, ng) {
-			return ng
-		}
-		g = c.gen.Load()
-		if g.matchIDs(ids) {
-			return g
-		}
-	}
-}
-
-// matchIDs reports whether the generation's multi-part identity equals
-// ids elementwise.
-func (g *Gen) matchIDs(ids []any) bool {
-	if g == nil || len(g.ids) != len(ids) || g.ids == nil {
-		return false
-	}
-	for i := range ids {
-		if g.ids[i] != ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Lookup returns the ready entry for k, if any — the allocation-free

@@ -16,9 +16,6 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if g := c.ForView("id", 1); g != nil {
 		t.Fatalf("nil cache ForView = %v, want nil", g)
 	}
-	if g := c.ForViews([]any{"a"}, 1); g != nil {
-		t.Fatalf("nil cache ForViews = %v, want nil", g)
-	}
 	if got := c.Counters(); got != (Counters{}) {
 		t.Fatalf("nil cache Counters = %+v, want zeros", got)
 	}
@@ -282,39 +279,6 @@ func TestGenerationIdentity(t *testing.T) {
 	}
 	if c.Current() != g2 {
 		t.Fatal("stale reader clobbered the live generation")
-	}
-}
-
-func TestForViewsElementwiseIdentity(t *testing.T) {
-	c := New(1 << 20)
-	a, b, b2 := new(int), new(int), new(int)
-
-	buf := []any{a, b}
-	g1 := c.ForViews(buf, 2)
-	g1.Store(Key{Kind: KindSSSP, A: 5}, Value{N2: 5})
-
-	// Caller reuses its buffer with identical pinned views: same gen.
-	buf[0], buf[1] = a, b
-	if g := c.ForViews(buf, 4); g != g1 {
-		t.Fatal("identical pinned views did not match the generation")
-	}
-
-	// One shard refreshed: the whole generation is replaced.
-	buf[1] = b2
-	g2 := c.ForViews(buf, 5)
-	if g2 == g1 {
-		t.Fatal("changed shard view reused the old generation")
-	}
-	if _, ok := g2.Lookup(Key{Kind: KindSSSP, A: 5}); ok {
-		t.Fatal("entry leaked across a shard refresh")
-	}
-
-	// The generation copied the ids: mutating the caller's buffer
-	// afterwards must not corrupt matching.
-	buf[0] = b2
-	buf[1] = a
-	if g := c.ForViews([]any{a, b2}, 6); g != g2 {
-		t.Fatal("generation identity corrupted by caller buffer reuse")
 	}
 }
 

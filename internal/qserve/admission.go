@@ -2,11 +2,10 @@ package qserve
 
 import "sync/atomic"
 
-// Admission is the executor pool's queue-or-shed gate, factored out so
-// any query engine (the single-shard Executor here, the sharded fleet
-// executor in internal/shard) enforces the same bounded-latency
-// policy: up to maxConcurrent holders at once, up to maxQueue waiters,
-// everything beyond shed immediately with ErrOverloaded.
+// Admission is the executor pool's queue-or-shed gate, the
+// bounded-latency policy every query passes: up to maxConcurrent
+// holders at once, up to maxQueue waiters, everything beyond shed
+// immediately with ErrOverloaded.
 type Admission struct {
 	slots    chan struct{}
 	maxQueue int64
@@ -15,9 +14,9 @@ type Admission struct {
 	shed     atomic.Uint64
 }
 
-// NewAdmission builds a gate for maxConcurrent concurrent holders and
+// newAdmission builds a gate for maxConcurrent concurrent holders and
 // maxQueue waiters (both already defaulted by the caller).
-func NewAdmission(maxConcurrent, maxQueue int) *Admission {
+func newAdmission(maxConcurrent, maxQueue int) *Admission {
 	return &Admission{
 		slots:    make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -13,8 +14,7 @@ import (
 )
 
 // Server exposes a query Engine over HTTP/JSON — the snapserve
-// daemon's handler set, engine-agnostic: the same routes serve a
-// single-snapshot Executor or a sharded fleet.
+// daemon's handler set.
 //
 // The query surface is generated from the kind registry: every
 // registered kind is served at GET /v1/query/<kind> with a typed
@@ -80,8 +80,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	mux.HandleFunc("POST /ingest", s.ingestHandler(false))
+	mux.HandleFunc("POST /v1/ingest", s.ingestHandler(true))
 	mux.HandleFunc("POST /v1/jobs/betweenness", s.handleJobStart)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	return mux
@@ -210,11 +210,75 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// Ingest bounds. A body longer than maxIngestBody bytes, or a batch of
+// more than maxIngestUpdates updates, is refused whole with 413 before
+// anything is applied; the batch is decoded one update at a time, so a
+// refused request holds at most maxIngestUpdates decoded updates. Both
+// sit far above real client batches (hundreds of updates).
+const (
+	maxIngestBody    = 8 << 20
+	maxIngestUpdates = 1 << 16
+)
+
+// errTooLarge marks an ingest request past one of the bounds (413).
+var errTooLarge = errors.New("request too large")
+
+// ingestHandler applies one JSON update batch; v1 selects the
+// structured error body.
+func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := s.ingest(w, http.MaxBytesReader(w, r.Body, maxIngestBody)); err != nil {
+			s.fail(w, v1, err)
+		}
+	}
+}
+
+// decodeIngest reads a JSON array of updates (null is an empty batch),
+// stopping at the first update past maxIngestUpdates.
+func decodeIngest(body io.Reader) ([]IngestUpdate, error) {
+	dec := json.NewDecoder(body)
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, ingestBodyErr(err)
+	}
+	if tok == nil {
+		return nil, nil // null: an empty batch
+	}
+	if tok != json.Delim('[') {
+		return nil, badParam("body", fmt.Errorf("want a JSON array of updates, got %v", tok))
+	}
 	var wire []IngestUpdate
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		httpError(w, badParam("body", err))
-		return
+	for dec.More() {
+		if len(wire) == maxIngestUpdates {
+			return nil, fmt.Errorf("%w: more than %d updates in one batch", errTooLarge, maxIngestUpdates)
+		}
+		wire = append(wire, IngestUpdate{})
+		if err := dec.Decode(&wire[len(wire)-1]); err != nil {
+			return nil, ingestBodyErr(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		return nil, ingestBodyErr(err)
+	}
+	return wire, nil
+}
+
+// ingestBodyErr classifies a body read or decode failure: past the
+// byte bound is errTooLarge, anything else a bad request.
+func ingestBodyErr(err error) error {
+	var mb *http.MaxBytesError
+	if errors.As(err, &mb) {
+		return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, mb.Limit)
+	}
+	return badParam("body", err)
+}
+
+// ingest decodes, validates and applies one batch, writing the ack on
+// success; on error nothing was applied and nothing written.
+func (s *Server) ingest(w http.ResponseWriter, body io.Reader) error {
+	wire, err := decodeIngest(body)
+	if err != nil {
+		return err
 	}
 	n := uint32(s.eng.NumVertices())
 	batch := make([]edge.Update, len(wire))
@@ -223,9 +287,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// store trusts its indices, so a bad vertex would corrupt or
 		// crash the shared structure, not just this request.
 		if u.U >= n || u.V >= n {
-			httpError(w, badParam("updates",
-				fmt.Errorf("update %d: vertex out of range [0,%d): %d->%d", i, n, u.U, u.V)))
-			return
+			return badParam("updates",
+				fmt.Errorf("update %d: vertex out of range [0,%d): %d->%d", i, n, u.U, u.V))
 		}
 		op := edge.Insert
 		switch u.Op {
@@ -233,8 +296,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case "delete", "del":
 			op = edge.Delete
 		default:
-			httpError(w, badParam("op", fmt.Errorf("unknown op %q", u.Op)))
-			return
+			return badParam("op", fmt.Errorf("unknown op %q", u.Op))
 		}
 		batch[i] = edge.Update{Edge: edge.Edge{U: u.U, V: u.V, T: u.T}, Op: op}
 	}
@@ -243,13 +305,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, err := s.eng.Ingest(s.ingestWorkers, batch)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	// Epoch is the ack epoch: pass it back as minEpoch on a query to
 	// read your writes. On the durable path the updates are fsynced by
 	// the time this reply is written.
 	writeJSON(w, IngestReply{Applied: len(wire), Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
+	return nil
 }
 
 // errBadRequest wraps parameter errors so httpError maps them to 400.
@@ -274,6 +336,8 @@ func errStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, "stale"
 	case errors.Is(err, ErrBadVertex):
 		return http.StatusBadRequest, "bad_vertex"
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.As(err, &bad):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, ErrUnsupported):

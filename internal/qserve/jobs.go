@@ -36,10 +36,10 @@ type BetweennessReply struct {
 }
 
 // BetweennessRunner is implemented by engines that can run the offline
-// sampled-betweenness job. The single-snapshot Executor implements it
-// for CSR layouts (plain and reordered); the compressed layout and the
-// sharded fleet do not (the Brandes engine needs a resident CSR), and
-// the job endpoint answers 501 there.
+// sampled-betweenness job. The Executor implements it for CSR layouts
+// (plain and reordered); the compressed layout does not (the Brandes
+// engine needs a resident CSR), and the job endpoint answers 501
+// there.
 type BetweennessRunner interface {
 	RunBetweenness(samples int, seed uint64, topk int, progress func(done, total int)) (BetweennessReply, error)
 }

@@ -27,9 +27,9 @@ type ClusteringReply struct {
 // coefficients over the engine's current snapshot. The enumeration
 // arena is pooled (cluster.Scratch), so the steady state allocates
 // nothing per request at the serving config; the aggregation runs in
-// original-id order, so every storage layout and the shard fleet answer
-// bit-identically — triangle counts are integers and the float average
-// is summed in the same order everywhere.
+// original-id order, so every storage layout answers bit-identically —
+// triangle counts are integers and the float average is summed in the
+// same order everywhere.
 func Clustering(eng Engine) (ClusteringReply, error) {
 	return query(eng, SpecClustering, Args{}, func(_ Args, r Result) ClusteringReply {
 		return ClusteringReplyFrom(r)
@@ -47,8 +47,7 @@ type KHopReply struct {
 
 // KHop counts the vertices within k hops of src: a BFS that stops
 // after level k, so arcs beyond the horizon are never expanded. Hop
-// counts are id-invariant; every layout and the fleet answer
-// bit-identically.
+// counts are id-invariant; every layout answers bit-identically.
 func KHop(eng Engine, src, k uint32) (KHopReply, error) {
 	return query(eng, SpecKHop, Args{A: uint64(src), B: uint64(k)}, KHopReplyFrom)
 }
@@ -68,8 +67,7 @@ type PageRankReply struct {
 }
 
 // PageRank solves PageRank to the given residual tolerance (tol <= 0
-// picks DefaultPageRankTol). The fleet runs sharded power iteration;
-// the single-snapshot engine runs an iterative kernel on the traversal
+// picks DefaultPageRankTol). The kernel iterates on the traversal
 // engine's label-correcting Relax mode: every vertex starts with
 // residual 1-d, a frontier vertex pushes its harvested residual along
 // its out-arcs, and a head vertex re-enters the frontier when its
@@ -77,8 +75,8 @@ type PageRankReply struct {
 // without ever sweeping settled regions.
 //
 // Unlike the integer-valued kinds, PageRank is *not* bit-identical
-// across layouts or the fleet: float accumulation order follows arc
-// order, and retained sub-tolerance residuals depend on schedule, so
+// across layouts: float accumulation order follows arc order, and
+// retained sub-tolerance residuals depend on schedule, so
 // answers agree only to within a tolerance-proportional error — the
 // documented exception to the bit-identity guarantee.
 func PageRank(eng Engine, tol float64) (PageRankReply, error) {
@@ -87,10 +85,10 @@ func PageRank(eng Engine, tol float64) (PageRankReply, error) {
 
 // PageRankArgs builds the PageRank argument set from a tolerance,
 // applying the default and the termination floor exactly like the HTTP
-// decoder; PageRankTol recovers the tolerance. The typed PageRank call
-// and both engines' kernels share them so a tolerance means the same
-// thing everywhere (including in the cache key, which is the
-// tolerance's bits).
+// decoder; pageRankTol recovers the tolerance. The typed PageRank call
+// and the kernel share them so a tolerance means the same thing
+// everywhere (including in the cache key, which is the tolerance's
+// bits).
 func PageRankArgs(tol float64) Args {
 	if tol <= 0 {
 		tol = DefaultPageRankTol
@@ -101,8 +99,8 @@ func PageRankArgs(tol float64) Args {
 	return Args{A: math.Float64bits(tol)}
 }
 
-// PageRankTol recovers the tolerance from a PageRank argument set.
-func PageRankTol(a Args) float64 { return math.Float64frombits(a.A) }
+// pageRankTol recovers the tolerance from a PageRank argument set.
+func pageRankTol(a Args) float64 { return math.Float64frombits(a.A) }
 
 // clusteringValue runs the pooled triangle count against the pinned
 // view. The per-vertex aggregation iterates original ids (translated
@@ -165,9 +163,7 @@ func (e *Executor) khopValue(v *snapmgr.View, a Args, keep bool) (qcache.Value, 
 // of the kind's definition, like BFS's unit arc cost — while the
 // residual tolerance is the query parameter (and the cache key).
 const (
-	// PageRankDamping is the fixed damping factor d; the sharded
-	// fleet's power-iteration kernel shares it so both engines solve
-	// the same linear system.
+	// PageRankDamping is the fixed damping factor d.
 	PageRankDamping = 0.85
 	// DefaultPageRankTol is the residual tolerance when the query does
 	// not name one.
@@ -229,7 +225,7 @@ func (e *Executor) pagerankValue(v *snapmgr.View, a Args, keep bool) (qcache.Val
 		s.prSrcs[i] = uint32(i)
 	}
 	s.prLevel = 1
-	s.prTol = PageRankTol(a)
+	s.prTol = pageRankTol(a)
 	s.prView = v
 	opt := traversal.Options{
 		Workers: e.cfg.Workers,

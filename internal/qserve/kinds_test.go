@@ -99,10 +99,9 @@ func TestKHopMatchesBFSLevels(t *testing.T) {
 }
 
 // refPageRank is the dense Jacobi reference: iterate
-// r' = (1-d)·1 + d·AᵀD⁻¹r to numerical convergence. Both serving
-// engines solve this same fixed point (push-residual and sharded power
-// iteration), so their aggregates must land within a
-// tolerance-proportional band of it.
+// r' = (1-d)·1 + d·AᵀD⁻¹r to numerical convergence. The push-residual
+// kernel solves this same fixed point, so its aggregates must land
+// within a tolerance-proportional band of it.
 func refPageRank(g *csr.Graph, iters int) []float64 {
 	const d = PageRankDamping
 	n := g.N

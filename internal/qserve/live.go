@@ -2,9 +2,7 @@ package qserve
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"snapdyn/internal/csr"
 	"snapdyn/internal/dynconn"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/snapmgr"
@@ -31,14 +29,11 @@ import (
 type Live struct {
 	mu  sync.RWMutex
 	idx *dynconn.Index
-	// version counts applied batches — a cheap change signal for
-	// derived structures (the fleet's merged union-find).
-	version atomic.Uint64
 }
 
-// NewLive returns an empty live index over n vertices. Seed it from the
+// newLive returns an empty live index over n vertices. Seed it from the
 // current snapshot (SeedView) before serving.
-func NewLive(n int) *Live {
+func newLive(n int) *Live {
 	return &Live{idx: dynconn.New(n, nil)}
 }
 
@@ -55,7 +50,6 @@ func (l *Live) Apply(batch []edge.Update) {
 		}
 	}
 	l.mu.Unlock()
-	l.version.Add(1)
 }
 
 // Connected answers st-connectivity from the forest: two root walks.
@@ -73,9 +67,6 @@ func (l *Live) Components() int {
 	defer l.mu.RUnlock()
 	return l.idx.ComponentCount()
 }
-
-// Version returns the applied-batch count.
-func (l *Live) Version() uint64 { return l.version.Load() }
 
 // SeedView replays every arc of a published snapshot into the forest —
 // the bootstrap that makes a live index agree with history it never saw
@@ -113,35 +104,13 @@ func (l *Live) SeedView(v *snapmgr.View) {
 	}
 }
 
-// SeedCSR replays every arc of one plain (unpermuted) CSR snapshot —
-// the per-shard seeding hook for the fleet's live index, where each
-// shard's view is plain CSR and holds exactly the owned arcs.
-func (l *Live) SeedCSR(g *csr.Graph) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for u := 0; u < g.N; u++ {
-		adj, ts := g.Neighbors(edge.ID(u))
-		for i, w := range adj {
-			l.idx.InsertEdge(uint32(u), w, ts[i])
-		}
-	}
-}
-
-// EachTreeEdge visits the forest's current tree edges under the read
-// lock — the hook the fleet's merged union-find is rebuilt from.
-func (l *Live) EachTreeEdge(fn func(u, v edge.ID)) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	l.idx.EachTreeEdge(fn)
-}
-
 // EnableLive builds the live connectivity index, seeded from the
 // current snapshot, and starts feeding it from every subsequent Ingest.
 // Call before serving (not synchronized with in-flight Ingest calls).
 // Live queries (Connected with live=1) fail with ErrUnsupported until
 // this is called.
 func (e *Executor) EnableLive() {
-	l := NewLive(e.NumVertices())
+	l := newLive(e.NumVertices())
 	l.SeedView(e.mgr.View())
 	e.live = l
 }

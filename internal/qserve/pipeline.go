@@ -1,59 +1,59 @@
 package qserve
 
-import "snapdyn/internal/qcache"
+import (
+	"snapdyn/internal/qcache"
+	"snapdyn/internal/snapmgr"
+)
 
-// Kernel executes one registered query kind against an engine's pinned
-// snapshot P; keep=true copies payload slices out of pooled scratch
-// into immutable slices for the cache.
-type Kernel[P any] func(pin P, a Args, keep bool) (qcache.Value, error)
+// kernel executes one registered query kind against a pinned published
+// view; keep=true copies payload slices out of pooled scratch into
+// immutable slices for the cache.
+type kernel func(v *snapmgr.View, a Args, keep bool) (qcache.Value, error)
 
-// Pipeline is the serving flow every engine runs, written once:
+// Pipeline is the serving flow every query kind runs, written once:
 //
 //	admit (queue-or-shed) → pin snapshot → validate vertex operands →
 //	quick short-circuit → cache lookup → kernel (coalesced on miss).
 //
-// An engine supplies exactly two things: how to pin a snapshot (a
-// single published view, or one view per shard) together with its
-// cache generation, and a kernel table over that pin. Both are bound
-// once, at construction. Engines embed the pipeline, so its Query and
-// Counters are the engine's.
+// The executor supplies how to pin a snapshot together with its cache
+// generation, and a kernel table over the pinned view. Both are bound
+// once, at construction. The executor embeds the pipeline, so its
+// Query and Counters are the executor's.
 //
 // The uncacheable and cache-disabled paths call the kernel directly —
 // no singleflight closure — preserving the allocation-free steady
 // state; only a cacheable miss pays the closure and the payload copy.
-type Pipeline[P any] struct {
+type Pipeline struct {
 	adm *Admission
 	// n is the engine's fixed vertex-set size, for operand validation.
 	n int
-	// pin returns the snapshot a query runs against, the epoch lower
-	// bound it is at least as fresh as, and its cache generation (nil
-	// when caching is off). unpin, when set, hands the pin back.
-	pin   func() (P, uint64, *qcache.Gen)
-	unpin func(P)
+	// pin returns the view a query runs against, the epoch lower bound
+	// it is at least as fresh as, and its cache generation (nil when
+	// caching is off).
+	pin func() (*snapmgr.View, uint64, *qcache.Gen)
 	// kernels is indexed by Spec.ID; a nil entry answers ErrUnsupported.
-	kernels []Kernel[P]
+	kernels []kernel
 }
 
-// NewPipeline binds an engine's snapshot pin and kernel table to the
-// admission policy. Kinds absent from kernels are not served by the
-// engine.
-func NewPipeline[P any](adm *Admission, n int, pin func() (P, uint64, *qcache.Gen), unpin func(P), kernels map[*Spec]Kernel[P]) Pipeline[P] {
-	tab := make([]Kernel[P], len(specs))
+// newPipeline binds the snapshot pin and kernel table to the admission
+// policy. Kinds absent from kernels are not served.
+func newPipeline(adm *Admission, n int, pin func() (*snapmgr.View, uint64, *qcache.Gen), kernels map[*Spec]kernel) Pipeline {
+	tab := make([]kernel, len(specs))
 	for sp, k := range kernels {
 		tab[sp.id] = k
 	}
-	return Pipeline[P]{adm: adm, n: n, pin: pin, unpin: unpin, kernels: tab}
+	return Pipeline{adm: adm, n: n, pin: pin, kernels: tab}
 }
 
-// Query runs one registered kind against the engine's current snapshot
-// (or its live index, for live-path arguments). The reply is built in
-// the named result, so a hit copies the cached value once.
-func (pl *Pipeline[P]) Query(sp *Spec, a Args) (res Result, err error) {
+// Query runs one registered kind against the current snapshot (or the
+// live index, for live-path arguments). The reply is built in the named
+// result, so a hit copies the cached value once.
+func (pl *Pipeline) Query(sp *Spec, a Args) (res Result, err error) {
 	if err = pl.adm.Acquire(); err != nil {
 		return Result{}, err
 	}
-	pin, epoch, gen := pl.pin()
-	defer pl.release(pin)
+	defer pl.adm.Release()
+	view, epoch, gen := pl.pin()
 	if err = sp.Validate(a, pl.n); err != nil {
 		return Result{}, err
 	}
@@ -79,25 +79,16 @@ func (pl *Pipeline[P]) Query(sp *Spec, a Args) (res Result, err error) {
 			return res, nil
 		}
 		res.Cache = CacheMiss
-		if res.Val, err = gen.Do(k, func() (qcache.Value, error) { return run(pin, a, true) }); err != nil {
+		if res.Val, err = gen.Do(k, func() (qcache.Value, error) { return run(view, a, true) }); err != nil {
 			return Result{}, err
 		}
 		return res, nil
 	}
-	if res.Val, err = run(pin, a, false); err != nil {
+	if res.Val, err = run(view, a, false); err != nil {
 		return Result{}, err
 	}
 	return res, nil
 }
 
-// release hands the pin back before freeing the admission slot, so a
-// queued query that wakes finds it on the engine's free list.
-func (pl *Pipeline[P]) release(pin P) {
-	if pl.unpin != nil {
-		pl.unpin(pin)
-	}
-	pl.adm.Release()
-}
-
 // Counters returns a point-in-time view of admission activity.
-func (pl *Pipeline[P]) Counters() Counters { return pl.adm.Counters() }
+func (pl *Pipeline) Counters() Counters { return pl.adm.Counters() }

@@ -7,11 +7,11 @@
 // Query kinds are registered, not hand-plumbed: each kind appears once
 // in this package's registry (see registry.go) with its wire name,
 // parameter decoding, cache-key derivation, and reply encoding. One
-// generic Pipeline runs every kind through the same admission,
-// validation, and caching flow on either engine; an engine contributes
-// only its snapshot pin and a kernel table indexed by Spec.ID. Typed
-// callers use the free functions BFS, SSSP, Connected, ConnectedLive,
-// Components, Clustering, KHop, and PageRank over any Engine. The
+// Pipeline runs every kind through the same admission, validation, and
+// caching flow; the executor contributes only its snapshot pin and a
+// kernel table indexed by Spec.ID. Typed callers use the free
+// functions BFS, SSSP, Connected, ConnectedLive, Components,
+// Clustering, KHop, and PageRank over any Engine. The
 // registered kinds are BFS, delta-stepping SSSP, st-connectivity
 // (snapshot or live), connected components, clustering coefficients,
 // k-hop neighborhood size, and PageRank; stats and the offline sampled
@@ -194,10 +194,8 @@ type Counters struct {
 
 // Engine is the query surface the HTTP server (and any other frontend)
 // serves: the generic registry-driven Query entry point plus ingest,
-// admission counters, and refresh health. The single-snapshot Executor
-// implements it, and so does the sharded fleet executor in
-// internal/shard — one facade, two engines, both answering Query
-// through an embedded Pipeline.
+// admission counters, and refresh health. Executor implements it,
+// answering Query through its embedded Pipeline.
 type Engine interface {
 	// Query runs one registered query kind through the engine's
 	// admission, validation, cache, and kernel-dispatch flow. Kinds an
@@ -227,7 +225,7 @@ type Engine interface {
 type Executor struct {
 	// Pipeline serves Query and Counters over the pinned published
 	// view, with this executor's kernel table.
-	Pipeline[*snapmgr.View]
+	Pipeline
 
 	mgr   *snapmgr.Manager
 	cfg   Config
@@ -254,8 +252,8 @@ func New(mgr *snapmgr.Manager, cfg Config) *Executor {
 		free:  make(chan *scratchSet, cfg.MaxConcurrent),
 		cache: qcache.New(cfg.CacheBytes),
 	}
-	e.Pipeline = NewPipeline(NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue), e.NumVertices(), e.checkout, nil,
-		map[*Spec]Kernel[*snapmgr.View]{
+	e.Pipeline = newPipeline(newAdmission(cfg.MaxConcurrent, cfg.MaxQueue), e.NumVertices(), e.checkout,
+		map[*Spec]kernel{
 			SpecBFS:        e.bfsValue,
 			SpecSSSP:       e.ssspValue,
 			SpecConnected:  e.connValue,
@@ -385,10 +383,10 @@ type BFSReply struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
-// BFS runs a breadth-first search from src on any engine. On the
-// single-snapshot engine it traverses the current snapshot, whatever
-// its storage layout: reordered views translate src through
-// the held permutation, compressed views traverse by streaming decode
+// BFS runs a breadth-first search from src on any engine. It traverses
+// the current snapshot, whatever its storage layout: reordered views
+// translate src through the held permutation, compressed views
+// traverse by streaming decode
 // (traversal.RunStream). The reply's aggregates are id-invariant, so
 // every layout answers bit-identically. With caching on, a repeat src
 // against the same published snapshot is served from the generation
@@ -430,12 +428,11 @@ type SSSPReply struct {
 
 // SSSP runs delta-stepping shortest paths from src with the arc time
 // labels as weights (delta <= 0 picks the heuristic bucket width) on
-// any engine; the fleet runs it sharded.
+// any engine.
 //
-// On the single-snapshot engine every pooled slot reads the snapshot's
-// one shared weighted view (snapmgr.View.Weighted), which the first
-// SSSP miss against the snapshot builds in O(m); later misses pay only
-// the run. A request whose delta differs from the view's heuristic one
+// Every pooled slot reads the snapshot's one shared weighted view
+// (snapmgr.View.Weighted), which the first SSSP miss against the
+// snapshot builds in O(m); later misses pay only the run. A request whose delta differs from the view's heuristic one
 // re-splits the shared weight-sorted spans into a slot-local
 // light/heavy boundary — one binary search per vertex, no rebuild.
 // Under LayoutCompressed the query runs the streaming Bellman-Ford
@@ -500,8 +497,7 @@ func Connected(eng Engine, u, v uint32) (ConnReply, error) {
 }
 
 // ConnectedLive answers st-connectivity from the dynamic forest the
-// engine's ingest path maintains (per-shard forests joined by a merged
-// union-find on the fleet) — no snapshot wait, hop count unavailable.
+// engine's ingest path maintains — no snapshot wait, hop count unavailable.
 // ErrUnsupported until the engine's EnableLive.
 func ConnectedLive(eng Engine, u, v uint32) (ConnReply, error) {
 	return query(eng, SpecConnected, Args{A: uint64(u), B: uint64(v), Live: true}, ConnReplyFrom)
@@ -549,8 +545,7 @@ type ComponentsReply struct {
 	Epoch       uint64 `json:"epoch"`
 }
 
-// Components labels weakly-connected components on any engine (the
-// fleet merges labels across shards). On the single-snapshot engine the
+// Components labels weakly-connected components on any engine. The
 // label array and its census live in the pooled scratch
 // (cc.ComponentsInto / cc.CensusInto), so the steady state allocates
 // nothing per request at the serving config (Workers = 1; the parallel

@@ -12,9 +12,9 @@ import (
 
 // TestRegistryCatalog pins the registry's structural invariants: the
 // seven kinds registered in a fixed order with dense ids, unique wire
-// names, and one reserved cache-key space each. The fleet executor's
-// kernel table and the HTTP route table are both generated from this
-// catalog, so its shape is API surface.
+// names, and one reserved cache-key space each. The executor's kernel
+// table and the HTTP route table are both generated from this catalog,
+// so its shape is API surface.
 func TestRegistryCatalog(t *testing.T) {
 	wantNames := []string{
 		"bfs", "sssp", "connected", "components",
@@ -234,7 +234,7 @@ func TestDecodeRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PageRankTol(a); got != DefaultPageRankTol {
+	if got := pageRankTol(a); got != DefaultPageRankTol {
 		t.Fatalf("default tol = %v, want %v", got, DefaultPageRankTol)
 	}
 	q, _ = url.ParseQuery("tol=1e-300")
@@ -242,7 +242,7 @@ func TestDecodeRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PageRankTol(a); got != minPageRankTol {
+	if got := pageRankTol(a); got != minPageRankTol {
 		t.Fatalf("sub-floor tol = %v, want floor %v", got, minPageRankTol)
 	}
 }
@@ -282,7 +282,7 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("khop?%q: k = %d above the cap", raw, a.B)
 				}
 			case SpecPageRank:
-				if tol := PageRankTol(a); math.IsNaN(tol) || math.IsInf(tol, 0) || tol < minPageRankTol {
+				if tol := pageRankTol(a); math.IsNaN(tol) || math.IsInf(tol, 0) || tol < minPageRankTol {
 					t.Fatalf("pagerank?%q: tolerance %v outside [floor, +Inf)", raw, tol)
 				}
 			}
